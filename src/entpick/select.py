@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mdn
 from .sim import (PATCH_MARGIN, HeapState, Z_INFER_DEEP, batch_unit_medians,
-                  local_median_height, observe_patch)
+                  height_units, local_median_height, observe_patch)
 
 DEFAULT_CLEARANCE_MM = 5.0
 
@@ -112,11 +112,12 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     """Vectorised scoring of an xy lattice x z list. Returns (mu, sigma)
     arrays of shape (n_xy, n_z) matching score_candidate pointwise.
 
-    Avoids materialising full float windows: medians come from an int16
-    height-unit gather (heights are 0.1 mm quantised), pooled block means
-    from a summed-area table (median subtraction commutes with mean
-    pooling), and the capture channel reads only the central footprint
-    slice of each window.
+    No window is materialised. The heights are converted once to integer
+    0.1 mm units, the unit ``local_median_height`` uses, and
+    ``batch_unit_medians`` reads every window's exact median off strip
+    histograms of that grid. Pooled block means come from a summed-area
+    table (median subtraction commutes with mean pooling), and the capture
+    channel gathers only the central footprint slice of each window.
     """
     n_xy = len(xy_points)
     n_z = len(z_list)
@@ -125,9 +126,8 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     ix = np.fromiter((x - m for x, _ in xy_points), dtype=int, count=n_xy)
     iy = np.fromiter((y - m for _, y in xy_points), dtype=int, count=n_xy)
 
-    units_grid = (heap.heights * 10.0 + 0.5).astype(np.int16)
-    uw = np.lib.stride_tricks.sliding_window_view(units_grid, (side, side))[ix, iy]
-    medians = batch_unit_medians(uw.reshape(n_xy, -1)) / 10.0
+    units_grid = height_units(heap.heights)
+    medians = batch_unit_medians(units_grid, ix, iy, (side, side)) / 10.0
 
     sat = np.zeros((heap.heights.shape[0] + 1, heap.heights.shape[1] + 1))
     sat[1:, 1:] = heap.heights.cumsum(axis=0).cumsum(axis=1)
@@ -144,7 +144,8 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     cols = [np.repeat(pooled, n_z, axis=0)]
     if model.config.capture_window_mm is not None:
         cw, cl = (int(v) for v in model.config.capture_window_mm)
-        sub = uw[:, m - cw // 2:m + (cw + 1) // 2, m - cl // 2:m + (cl + 1) // 2]
+        sub = np.lib.stride_tricks.sliding_window_view(units_grid, (cw, cl))[
+            ix + (m - cw // 2), iy + (m - cl // 2)]
         rel = sub / 10.0 - medians[:, None, None]
         cap = np.empty((n_xy, n_z))
         for j, plane in enumerate(z_arr * 10.0):
@@ -178,26 +179,28 @@ def _pick(target, alpha, mu, sigma):
     return int(np.argmin(score)), feasible
 
 
+def _score_lattice(model, heap, config, clearance_mm):
+    """The enumerated candidates with their flat (mu, sigma) arrays, in
+    enumeration order; the arrays are None when there are no candidates."""
+    cands = enumerate_candidates(heap.tray_mm, config)
+    if not cands:
+        return cands, None, None
+    xy_points = list(dict.fromkeys((x, y) for x, y, _ in cands))
+    mu, sigma = _score_grid(model, heap, xy_points, config.z_candidates_cm, clearance_mm)
+    return cands, mu.ravel(), sigma.ravel()
+
+
 def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
                  clearance_mm: float = DEFAULT_CLEARANCE_MM):
     """Best grasp point under the uncertainty-penalised criterion, or None
     when no candidate is feasible."""
-    cands = enumerate_candidates(heap.tray_mm, config)
+    cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
     if not cands:
         return None
-    xy_points = []
-    seen = set()
-    for x, y, _ in cands:
-        if (x, y) not in seen:
-            seen.add((x, y))
-            xy_points.append((x, y))
-    mu, sigma = _score_grid(model, heap, xy_points, config.z_candidates_cm, clearance_mm)
-    idx, _ = _pick(config.target_mass_g, config.alpha, mu.ravel(), sigma.ravel())
+    idx, _ = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
     if idx is None:
         return None
     x, y, z = cands[idx]
-    flat_mu = mu.ravel()
-    flat_sigma = sigma.ravel()
     return SelectedGrasp(x, y, z, float(flat_mu[idx]), float(flat_sigma[idx]),
                          float(abs(config.target_mass_g - flat_mu[idx]) + flat_sigma[idx]),
                          idx)
@@ -206,18 +209,9 @@ def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfi
 def score_all(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
               clearance_mm: float = DEFAULT_CLEARANCE_MM) -> list:
     """Every enumerated candidate as a scored Candidate record."""
-    cands = enumerate_candidates(heap.tray_mm, config)
+    cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
     if not cands:
         return []
-    xy_points = []
-    seen = set()
-    for x, y, _ in cands:
-        if (x, y) not in seen:
-            seen.add((x, y))
-            xy_points.append((x, y))
-    mu, sigma = _score_grid(model, heap, xy_points, config.z_candidates_cm, clearance_mm)
-    flat_mu = mu.ravel()
-    flat_sigma = sigma.ravel()
     _, feasible = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
     return [Candidate(x, y, z, float(flat_mu[i]), float(flat_sigma[i]),
                       bool(feasible[i]),

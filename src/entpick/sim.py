@@ -203,10 +203,6 @@ class HeapState:
         if self.rho_fresh is None:
             self.rho_fresh = self.bulk_density.copy()
 
-    @property
-    def dims(self) -> tuple:
-        return self.tray_mm
-
     def validate(self):
         w, d, h = self.tray_mm
         if self.heights.shape != (w, d):
@@ -352,10 +348,6 @@ def _smooth_fields(shape, corr_mms, rng):
     return full[:, :shape[0], :shape[1]]
 
 
-def _smooth_field(shape, corr_mm, rng):
-    return _smooth_fields(shape, [corr_mm], rng)[0]
-
-
 def init_heap(config: SimConfig, seed: int) -> HeapState:
     """Build a filled tray from seeded smooth noise. Identical (config, seed)
     pairs produce bitwise-identical heaps."""
@@ -408,15 +400,57 @@ def median_normalize(heights):
     return arr - np.median(arr)
 
 
-def batch_unit_medians(units: np.ndarray) -> np.ndarray:
-    """Medians of integer height-unit rows (exact order statistics via
-    partial sort). ``units`` is (N, P) of non-negative int height quanta;
-    returns medians in the same units (possibly half-integral)."""
-    p = units.shape[1]
+def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
+    """Exact medians of rectangular windows of an integer grid.
+
+    Window i is ``units[ix[i]:ix[i] + sx, iy[i]:iy[i] + sy]`` with
+    ``shape = (sx, sy)``; every window must lie inside the grid. Returns
+    float64 medians in the grid's units, equal to ``np.median`` of each
+    window (half-integral when the two middle ranks differ).
+
+    The windows are taken one distinct ``iy`` at a time. Their band of rows
+    is cut into column strips of width g = gcd(sx, x offsets), so that each
+    window is a whole run of strips. One ``bincount`` gives every strip's
+    histogram over the band's value range; prefix sums along x then give any
+    run's cumulative counts by one subtraction, and both middle ranks are
+    read off them. Working memory is one (strips x value range) table per
+    band, whatever the number and area of the windows.
+    """
+    units = np.asarray(units)
+    ix = np.asarray(ix, dtype=np.intp).reshape(-1)
+    iy = np.asarray(iy, dtype=np.intp).reshape(-1)
+    sx, sy = (int(s) for s in shape)
+    if sx < 1 or sy < 1:
+        raise ValueError(f"window shape must be positive, got {shape}")
+    out = np.empty(ix.size)
+    if ix.size == 0:
+        return out
+    if (ix.min() < 0 or iy.min() < 0 or ix.max() + sx > units.shape[0]
+            or iy.max() + sy > units.shape[1]):
+        raise ValueError("windows must lie inside the grid")
+    p = sx * sy
     k_lo = (p + 1) // 2 - 1
     k_hi = p // 2
-    part = np.partition(units, (k_lo, k_hi), axis=1)
-    return (part[:, k_lo].astype(np.float64) + part[:, k_hi]) / 2.0
+    for y0 in np.unique(iy):
+        rows = np.flatnonzero(iy == y0)
+        x0 = ix[rows].min()
+        off = ix[rows] - x0
+        g = math.gcd(sx, *off.tolist())
+        band = units[x0:x0 + off.max() + sx, y0:y0 + sy].astype(np.intp)
+        lo = band.min()
+        span = int(band.max() - lo) + 1
+        n_strips = band.shape[0] // g
+        # bin key: strip index * span + (value - lo)
+        band += (np.arange(band.shape[0]) // g * span - lo)[:, None]
+        hist = np.bincount(band.ravel(), minlength=n_strips * span).reshape(n_strips, span)
+        prefix = np.zeros((n_strips + 1, span), dtype=np.int64)
+        np.cumsum(hist, axis=0, out=prefix[1:])
+        # counts of values <= lo + v inside each window of the band
+        below = np.cumsum(prefix[(off + sx) // g] - prefix[off // g], axis=1)
+        v_lo = np.count_nonzero(below <= k_lo, axis=1)
+        v_hi = np.count_nonzero(below <= k_hi, axis=1)
+        out[rows] = (v_lo + v_hi) / 2.0 + lo
+    return out
 
 
 def patch_window(heap: HeapState, x: int, y: int):
@@ -437,7 +471,7 @@ def height_units(heights) -> np.ndarray:
 def local_median_height(heap: HeapState, x: int, y: int) -> float:
     """Median surface height (mm) of the observation window around (x, y)."""
     win = patch_window(heap, x, y)
-    return float(batch_unit_medians(height_units(win).reshape(1, -1))[0]) / 10.0
+    return float(batch_unit_medians(height_units(win), [0], [0], win.shape)[0]) / 10.0
 
 
 def observe_patch(heap: HeapState, x: int, y: int) -> PatchObservation:
@@ -450,8 +484,7 @@ def observe_patch(heap: HeapState, x: int, y: int) -> PatchObservation:
     if not (PATCH_MARGIN <= x <= w - PATCH_MARGIN and PATCH_MARGIN <= y <= d - PATCH_MARGIN):
         raise ValueError(f"patch centre ({x}, {y}) violates the {PATCH_MARGIN} px margin")
     win = heap.heights[x - PATCH_MARGIN:x + PATCH_MARGIN, y - PATCH_MARGIN:y + PATCH_MARGIN]
-    med = float(batch_unit_medians(height_units(win).reshape(1, -1))[0]) / 10.0
-    return PatchObservation(win - med, None)
+    return PatchObservation(win - local_median_height(heap, x, y), None)
 
 
 # ---------------------------------------------------------------------------

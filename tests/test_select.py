@@ -230,3 +230,61 @@ def test_selection_report_shape(heap_and_model):
     if report["winner"] is not None:
         w = report["winner"]
         assert report["candidates"][w["index"]]["feasible"]
+
+
+# ---------------------------------------------------------------- medians on mutated heaps
+
+def partition_medians(units, ix, iy, shape):
+    """Reference: exact window medians by materialising and partitioning."""
+    win = np.stack([units[a:a + shape[0], b:b + shape[1]].ravel() for a, b in zip(ix, iy)])
+    k = ((win.shape[1] + 1) // 2 - 1, win.shape[1] // 2)
+    part = np.partition(win, k, axis=1)
+    return (part[:, k[0]].astype(np.float64) + part[:, k[1]]) / 2.0
+
+
+@pytest.fixture(scope="module")
+def mutated_heap():
+    """A seeded heap after 20 grasps and 5 releases, so its heights sit off
+    the 0.1 mm grid."""
+    cfg = sim.SimConfig()
+    heap = sim.init_heap(cfg, seed=11)
+    rng = np.random.default_rng(12)
+    for i in range(1, 21):
+        x = int(rng.integers(100, 325))
+        y = int(rng.integers(90, 219))
+        out = sim.execute_grasp(heap, x, y, 2.0, rng, cfg)
+        if i % 4 == 0:
+            sim.release_mass(heap, x, y, out.grasped_mass, cfg)
+    units = heap.heights * 10.0
+    assert not np.array_equal(units, np.round(units))
+    return heap
+
+
+def test_grid_medians_equal_local_median_on_mutated_heap(mutated_heap, heap_and_model,
+                                                         monkeypatch):
+    model = heap_and_model[2]
+    seen = []
+
+    def spy(*args):
+        seen.append(sim.batch_unit_medians(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(select, "batch_unit_medians", spy)
+    scfg = SelectionConfig(target_mass_g=20.0)
+    select.select_grasp(model, mutated_heap, scfg)
+    xy = dict.fromkeys((x, y) for x, y, _ in select.enumerate_candidates(
+        mutated_heap.tray_mm, scfg))
+    assert len(seen) == 1 and len(seen[0]) == len(xy)
+    for med, (x, y) in zip(seen[0] / 10.0, xy):
+        assert med == sim.local_median_height(mutated_heap, x, y)
+
+
+def test_selection_matches_partition_oracle_on_mutated_heap(mutated_heap, trained_model,
+                                                            monkeypatch):
+    scfg = SelectionConfig(target_mass_g=15.0)
+    got = select.select_grasp(trained_model, mutated_heap, scfg)
+    got_all = select.score_all(trained_model, mutated_heap, scfg)
+    monkeypatch.setattr(select, "batch_unit_medians", partition_medians)
+    assert got is not None
+    assert got == select.select_grasp(trained_model, mutated_heap, scfg)
+    assert got_all == select.score_all(trained_model, mutated_heap, scfg)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entpick import sim
 
@@ -115,12 +116,71 @@ def test_observe_patch_out_of_bounds():
             sim.observe_patch(heap, x, y)
 
 
+def window_medians(units, ix, iy, shape):
+    """Reference: np.median over each materialised window."""
+    sx, sy = shape
+    return np.array([np.median(units[a:a + sx, b:b + sy]) for a, b in zip(ix, iy)])
+
+
 def test_counting_median_matches_numpy():
     rng = np.random.default_rng(0)
-    units = rng.integers(0, 1601, size=(7, 25600))
-    got = sim.batch_unit_medians(units)
-    want = np.median(units, axis=1)
+    units = rng.integers(0, 1601, size=(424, 308))
+    # the three scoring points of test_batch_grid_matches_single_scoring, then
+    # four more, as 160 x 160 window origins
+    ix = [0, 120, 264, 7, 7, 200, 131]
+    iy = [0, 70, 148, 0, 61, 3, 148]
+    got = sim.batch_unit_medians(units, ix, iy, (160, 160))
+    want = window_medians(units, ix, iy, (160, 160))
     assert np.array_equal(got, want)
+
+
+@st.composite
+def grids_and_windows(draw):
+    """An integer grid and windows on it: random values over a range of
+    1 to 3000, a constant grid, or a single spike; the windows are a stride
+    lattice (stride 1 to 40) or an arbitrary point set."""
+    sx = draw(st.integers(1, 30))
+    sy = draw(st.integers(1, 30))
+    w = draw(st.integers(sx, sx + 60))
+    d = draw(st.integers(sy, sy + 60))
+    n_values = draw(st.integers(1, 3000))
+    base = draw(st.integers(0, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "constant", "spike"]))
+    if kind == "random":
+        units = base + rng.integers(0, n_values, size=(w, d))
+    else:
+        units = np.full((w, d), base)
+        if kind == "spike":
+            units[rng.integers(w), rng.integers(d)] += n_values
+    if draw(st.booleans()):
+        stride = draw(st.integers(1, 40))
+        xs = np.arange(0, w - sx + 1, stride)
+        ys = np.arange(0, d - sy + 1, stride)
+        ix, iy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+    else:
+        pts = draw(st.lists(st.tuples(st.integers(0, w - sx), st.integers(0, d - sy)),
+                            min_size=1, max_size=12))
+        ix, iy = (np.array(a) for a in zip(*pts))
+    return units, ix, iy, (sx, sy)
+
+
+@given(grids_and_windows())
+@settings(max_examples=150, deadline=None)
+def test_window_medians_match_numpy(case):
+    units, ix, iy, shape = case
+    got = sim.batch_unit_medians(units, ix, iy, shape)
+    assert np.array_equal(got, window_medians(units, ix, iy, shape))
+
+
+def test_window_medians_reject_windows_outside_grid():
+    units = np.zeros((20, 10), dtype=np.int64)
+    for ix, iy in (([-1], [0]), ([0], [-1]), ([5], [0]), ([0], [1])):
+        with pytest.raises(ValueError):
+            sim.batch_unit_medians(units, ix, iy, (16, 10))
+    with pytest.raises(ValueError):
+        sim.batch_unit_medians(units, [0], [0], (0, 10))
+    assert sim.batch_unit_medians(units, [], [], (16, 10)).shape == (0,)
 
 
 # ---------------------------------------------------------------- execute_grasp
