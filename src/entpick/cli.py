@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import datetime
 import json
 import logging
@@ -68,15 +70,30 @@ def _reproducible_argv(command: str, args: argparse.Namespace) -> list:
 
 def _load_sim_config(args) -> sim.SimConfig:
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
-        return sim.SimConfig.from_json_file(args.config)
+        _require_file(args.config, "config file")
+        with _bad_input(f"simulator config {args.config}"):
+            return sim.SimConfig.from_json_file(args.config)
     return sim.SimConfig()
 
 
 def _require_file(path, what):
     if not os.path.exists(path):
         raise UsageError(f"{what} not found: {path}")
+
+
+def _load_model(path) -> mdn.ModelParams:
+    _require_file(path, "model checkpoint")
+    with _bad_input("model checkpoint"):
+        return mdn.load_checkpoint(path)
+
+
+@contextlib.contextmanager
+def _bad_input(what):
+    """Turn a rejected input file into a usage error (exit 2, one line)."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +114,18 @@ def cmd_collect(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_file(args.dataset, "dataset")
-    dataset = mdn.Dataset.from_jsonl(args.dataset)
+    mcfg = mdn.ModelConfig()
     if args.config:
         _require_file(args.config, "model config")
-        with open(args.config, "r", encoding="utf-8") as f:
+        with open(args.config, "r", encoding="utf-8") as f, \
+                _bad_input(f"model config {args.config}"):
             mcfg = mdn.ModelConfig.from_dict(json.load(f))
-    else:
-        mcfg = mdn.ModelConfig()
     if args.seed is not None:
-        mcfg.seed = args.seed
+        with _bad_input("--seed"):
+            mcfg = dataclasses.replace(mcfg, seed=args.seed)
+    _require_file(args.dataset, "dataset")
+    with _bad_input("dataset"):
+        dataset = mdn.Dataset.from_jsonl(args.dataset)
     params = mdn.train(dataset, mcfg)
     mdn.save_checkpoint(params, args.out)
     write_manifest(args.out, "train", args, [str(args.out)], {"model": mcfg.seed})
@@ -119,8 +138,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _require_file(args.model, "model checkpoint")
-    model = mdn.load_checkpoint(args.model)
+    model = _load_model(args.model)
     cfg = _load_sim_config(args)
     heap = sim.init_heap(cfg, args.seed)
     sel_cfg = select.SelectionConfig(target_mass_g=args.target, alpha=args.alpha)
@@ -140,8 +158,7 @@ def cmd_inspect(args) -> int:
 def cmd_run(args) -> int:
     if args.episodes < 1:
         raise UsageError("--episodes must be positive")
-    _require_file(args.model, "model checkpoint")
-    model = mdn.load_checkpoint(args.model)
+    model = _load_model(args.model)
     cfg = _load_sim_config(args)
     summary, traces = experiments.run_episode_batch(
         cfg, model, args.target, args.alpha, args.episodes, args.seed,
@@ -181,8 +198,7 @@ def cmd_experiment(args) -> int:
                          f"{', '.join(experiments.PRESET_NAMES + ('HISTOGRAM',))}")
     model = None
     if args.model:
-        _require_file(args.model, "model checkpoint")
-        model = mdn.load_checkpoint(args.model)
+        model = _load_model(args.model)
     cfg = _load_sim_config(args)
     preset_obj = experiments.preset(name, episodes=args.episodes or 200, seed=args.seed)
     report = experiments.run_experiment(preset_obj, cfg, model, workers=args.workers)
@@ -262,12 +278,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 2
     except (ValueError, OSError) as exc:
         log.debug("command failed", exc_info=True)
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
+
+
+def _print_error(exc) -> None:
+    """One line on stderr, whatever the message holds."""
+    print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,20 @@
 
 Maps a median-normalised height patch plus the gripper insertion depth to a
 K-component Gaussian mixture over the grasped mass. The patch is adaptively
-mean-pooled to a small square, flattened, concatenated with the depth, and
-fed through a tanh MLP whose head emits mixture logits, component means
-(grams), and pre-softplus spreads. Training minimises the negative log
-likelihood of the observed masses with exact reverse-mode gradients and an
-adaptive-moment optimizer; flips and random crops exploit the gripper
-symmetry on the tiny datasets this is meant for.
+mean-pooled to a small square, flattened, concatenated with a rectified
+capture volume and the depth, and fed through a tanh MLP whose head emits
+mixture logits, component means (grams), and pre-softplus spreads. Training
+minimises the negative log likelihood of the observed masses with exact
+reverse-mode gradients and an adaptive-moment optimizer; flips and random
+crops exploit the gripper symmetry on the tiny datasets this is meant for.
+
+Training works in feature space. Every feature is a rectangle sum, and a
+flip maps a crop rectangle to a mirrored rectangle of the unflipped patch,
+so before the first epoch ``train`` reads the features of all
+``N_VARIANTS`` augmentations of each train row (2 x 2 flips x 11 x 11 crop
+offsets) off two summed-area tables of that row. Each step then draws the
+augmentation stream exactly as ``augment`` does and gathers its batch from
+that table; ``augment`` stays as the reference the table is tested against.
 
 Parameters live in one flat vector so checkpoints are a single array and
 finite-difference checks stay trivial.
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .sim import PATCH_SIDE, PatchObservation
+from .sim import PATCH_SIDE, PatchObservation, check_config_keys
 
 CROP_SIDE = 150
 HEIGHT_SCALE = 0.1   # mm -> feature units
@@ -75,16 +83,43 @@ class Dataset:
                     patch = np.array(doc["patch"], dtype=float)
                     row = DataRow(patch, float(doc["z_cm"]), float(doc["mass_g"]),
                                   str(doc["split"]))
+                    if not (math.isfinite(row.z_cm) and math.isfinite(row.mass_g)):
+                        raise ValueError("non-finite depth or mass")
                     if row.mass_g < 0:
                         raise ValueError("negative mass")
                     if row.split not in ("train", "eval"):
                         raise ValueError(f"unknown split {row.split!r}")
-                    if patch.ndim != 2:
-                        raise ValueError("patch is not a 2-D array")
+                    if patch.shape != (PATCH_SIDE, PATCH_SIDE):
+                        raise ValueError(f"patch has shape {patch.shape}, "
+                                         f"expected ({PATCH_SIDE}, {PATCH_SIDE})")
                 except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                     raise ValueError(f"{path}: corrupt dataset row at line {lineno}: {exc}") from exc
                 rows.append(row)
         return cls(rows)
+
+
+def _check_real(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)) \
+            or not math.isfinite(value):
+        raise ValueError(f"ModelConfig.{name} must be a finite number, got {value!r}")
+
+
+def _check_positive(name, value):
+    _check_real(name, value)
+    if value <= 0:
+        raise ValueError(f"ModelConfig.{name} must be positive, got {value!r}")
+
+
+def _check_int(name, value, lo):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"ModelConfig.{name} must be an integer >= {lo}, got {value!r}")
+
+
+def _check_tuple(name, value, length=None) -> tuple:
+    if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
+        what = f"{length} numbers" if length is not None else "a list"
+        raise ValueError(f"ModelConfig.{name} must be {what}, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -106,16 +141,40 @@ class ModelConfig:
     capture_window_mm: tuple | None = (40.0, 24.0)
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("need at least one mixture component")
-        if self.sigma_floor <= 0:
-            raise ValueError("sigma floor must be positive")
+        _check_int("K", self.K, 1)
+        _check_int("feature_downsample", self.feature_downsample, 1)
         if PATCH_SIDE % self.feature_downsample != 0:
-            raise ValueError(f"downsample must divide {PATCH_SIDE}")
+            raise ValueError(f"ModelConfig.feature_downsample must divide {PATCH_SIDE}, "
+                             f"got {self.feature_downsample}")
+        if self.pooled_side > CROP_SIDE:
+            raise ValueError(f"ModelConfig.feature_downsample {self.feature_downsample} pools "
+                             f"to a side above the {CROP_SIDE} px crop")
+        self.hidden_sizes = _check_tuple("hidden_sizes", self.hidden_sizes)
+        for size in self.hidden_sizes:
+            _check_int("hidden_sizes entry", size, 1)
+        _check_positive("sigma_floor", self.sigma_floor)
+        _check_positive("learning_rate", self.learning_rate)
+        _check_int("epochs", self.epochs, 0)
+        _check_int("batch_size", self.batch_size, 1)
+        _check_int("seed", self.seed, 0)
         if self.reduction not in ("moments", "dominant"):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
+            raise ValueError(f"ModelConfig.reduction must be 'moments' or 'dominant', "
+                             f"got {self.reduction!r}")
+        if self.fixed_sigma is not None:
+            _check_positive("fixed_sigma", self.fixed_sigma)
+        self.mu_init_g = _check_tuple("mu_init_g", self.mu_init_g, 2)
+        for mu in self.mu_init_g:
+            _check_real("mu_init_g", mu)
         if self.capture_window_mm is not None:
-            self.capture_window_mm = tuple(self.capture_window_mm)
+            # the window must fit the crop: the variant table reads it as
+            # an exact rectangle of every crop
+            self.capture_window_mm = _check_tuple("capture_window_mm",
+                                                  self.capture_window_mm, 2)
+            for side in self.capture_window_mm:
+                _check_real("capture_window_mm", side)
+                if not (float(side).is_integer() and 1 <= side <= CROP_SIDE):
+                    raise ValueError(f"ModelConfig.capture_window_mm sides must be integers in "
+                                     f"[1, {CROP_SIDE}], got {self.capture_window_mm}")
 
     @property
     def pooled_side(self) -> int:
@@ -138,11 +197,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key in ("hidden_sizes", "mu_init_g"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        """Build from a JSON document; unknown keys raise ValueError by name."""
+        return cls(**check_config_keys(cls, d, "ModelConfig"))
 
 
 @dataclass
@@ -401,19 +457,97 @@ def _nll_value_grad(params: ModelParams, feats, masses):
 # augmentation
 # ---------------------------------------------------------------------------
 
+N_OFFSETS = PATCH_SIDE - CROP_SIDE + 1   # crop offsets per axis
+N_VARIANTS = 4 * N_OFFSETS ** 2          # 2 x 2 flips x offsets
+
+
+def _draw_augmentation(rng: np.random.Generator):
+    """One augmentation draw: vertical flip, horizontal flip, crop offsets."""
+    flip_v = rng.random() < 0.5
+    flip_h = rng.random() < 0.5
+    off = rng.integers(0, N_OFFSETS, size=2)
+    return flip_v, flip_h, off
+
+
+def _draw_variant(rng: np.random.Generator) -> int:
+    """Index into the variant axis of ``_variant_features`` of the crop that
+    ``augment`` would make from the same stream."""
+    flip_v, flip_h, off = _draw_augmentation(rng)
+    return ((2 * flip_v + flip_h) * N_OFFSETS + int(off[0])) * N_OFFSETS + int(off[1])
+
+
 def augment(obs: PatchObservation, rng: np.random.Generator) -> PatchObservation:
     """Gripper-symmetry augmentation: independent vertical/horizontal flips at
     probability 0.5 each, then a random CROP_SIDE x CROP_SIDE crop."""
     patch = np.asarray(obs.heights)
     if patch.shape != (PATCH_SIDE, PATCH_SIDE):
         raise ValueError(f"augment expects {PATCH_SIDE}x{PATCH_SIDE} patches, got {patch.shape}")
-    if rng.random() < 0.5:
+    flip_v, flip_h, off = _draw_augmentation(rng)
+    if flip_v:
         patch = patch[::-1, :]
-    if rng.random() < 0.5:
+    if flip_h:
         patch = patch[:, ::-1]
-    off = rng.integers(0, PATCH_SIDE - CROP_SIDE + 1, size=2)
     crop = patch[off[0]:off[0] + CROP_SIDE, off[1]:off[1] + CROP_SIDE].copy()
     return PatchObservation(crop, obs.insertion_depth)
+
+
+def _variant_spans(lo, hi):
+    """Patch-axis spans [start, end) of the crop-axis spans [lo, hi) in every
+    (flip, offset) variant, each of shape (2, N_OFFSETS, len(lo)). Crop index
+    k at offset o reads patch index o + k, or PATCH_SIDE - 1 - o - k when the
+    axis is flipped, so a span stays a span."""
+    off = np.arange(N_OFFSETS)[:, None]
+    lo, hi = np.asarray(lo)[None, :], np.asarray(hi)[None, :]
+    return (np.stack([off + lo, PATCH_SIDE - off - hi]),
+            np.stack([off + hi, PATCH_SIDE - off - lo]))
+
+
+def _variant_rect_sums(sat, rows, cols) -> np.ndarray:
+    """Sums of every (row span x column span) rectangle in every variant,
+    shape (N_VARIANTS, n_row_spans * n_col_spans), from a zero-padded
+    summed-area table. The variant axis runs over (flip_v, flip_h, off_v,
+    off_h) in the order ``_draw_variant`` numbers them."""
+    r0, r1 = (a[:, None, :, None, :, None] for a in rows)
+    c0, c1 = (a[None, :, None, :, None, :] for a in cols)
+    sums = sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
+    return sums.reshape(N_VARIANTS, -1)
+
+
+def _summed_area(a: np.ndarray) -> np.ndarray:
+    sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    np.cumsum(np.cumsum(a, axis=0), axis=1, out=sat[1:, 1:])
+    return sat
+
+
+def _variant_features(rows, config: ModelConfig) -> np.ndarray:
+    """Model features of every augmentation variant of every row, shape
+    (len(rows), N_VARIANTS, n_features). Entry [i, _draw_variant(rng)]
+    equals ``features_from_rows`` of ``augment`` of row i on the same
+    stream, up to float summation order. Built one row at a time, so only
+    one row's summed-area tables exist at once."""
+    side = config.pooled_side
+    bounds = _pool_bounds(CROP_SIDE, side)
+    ends = np.append(bounds[1:], CROP_SIDE)
+    blocks = _variant_spans(bounds, ends)
+    widths = (ends - bounds).astype(float)
+    areas = (widths[:, None] * widths[None, :]).ravel()
+    if config.capture_window_mm is not None:
+        c = CROP_SIDE // 2
+        cw, cl = (int(v) for v in config.capture_window_mm)
+        cap_rows = _variant_spans([c - cw // 2], [c + (cw + 1) // 2])
+        cap_cols = _variant_spans([c - cl // 2], [c + (cl + 1) // 2])
+
+    table = np.empty((len(rows), N_VARIANTS, config.n_features))
+    for i, row in enumerate(rows):
+        patch = np.asarray(row.patch, dtype=float)
+        pooled = _variant_rect_sums(_summed_area(patch), blocks, blocks) / areas
+        table[i, :, :side * side] = pooled * HEIGHT_SCALE
+        if config.capture_window_mm is not None:
+            rectified = np.maximum(patch + row.z_cm * 10.0, 0.0)
+            cap = _variant_rect_sums(_summed_area(rectified), cap_rows, cap_cols)[:, 0] * 1e-3
+            table[i, :, side * side] = cap * CAPTURE_SCALE
+        table[i, :, -1] = row.z_cm
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +580,11 @@ def _init_head_from_masses(params: ModelParams, masses) -> None:
 def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
     """Stochastic NLL training on the train split with augmentation.
 
-    Evaluates on the eval split every epoch and returns the parameters from
-    the best eval epoch, so the returned eval NLL never exceeds the initial
-    one. Fully deterministic for a fixed config seed.
+    Each step draws one augmentation per row as ``augment`` would and reads
+    its features off the variant table of ``_variant_features``. Evaluates
+    on the eval split every epoch and returns the parameters from the best
+    eval epoch, so the returned eval NLL never exceeds the initial one.
+    Fully deterministic for a fixed config seed.
     """
     train_rows = dataset.train_rows()
     eval_rows = dataset.eval_rows()
@@ -459,9 +595,9 @@ def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
     _init_head_from_masses(params, [r.mass_g for r in train_rows])
 
     eval_feats, eval_masses = _dataset_features(eval_rows, config)
-    patches = [np.asarray(r.patch, dtype=float) for r in train_rows]
-    depths = np.array([r.z_cm for r in train_rows])
+    n = len(train_rows)
     masses = np.array([r.mass_g for r in train_rows])
+    table = _variant_features(train_rows, config)
 
     m = np.zeros_like(params.theta)
     v = np.zeros_like(params.theta)
@@ -472,17 +608,12 @@ def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
     best_theta = params.theta.copy()
     log = [{"epoch": 0, "train_nll": None, "eval_nll": best_nll}]
 
-    n = len(train_rows)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch_patches = []
-            for i in idx:
-                obs = augment(PatchObservation(patches[i], depths[i]), rng)
-                batch_patches.append(obs.heights)
-            feats = features_from_rows(np.stack(batch_patches), depths[idx], config)
+            feats = table[idx, [_draw_variant(rng) for _ in idx]]
             loss, g = _nll_value_grad(params, feats, masses[idx])
             epoch_losses.append(loss)
             t += 1
@@ -522,8 +653,20 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Load a checkpoint; a malformed one raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return ModelParams(np.array(doc["theta"], dtype=float),
-                       ModelConfig.from_dict(doc["config"]),
-                       doc.get("training_log", {}))
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: checkpoint is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint must be a JSON object")
+    for key in ("config", "theta"):
+        if key not in doc:
+            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
+    try:
+        return ModelParams(np.array(doc["theta"], dtype=float),
+                           ModelConfig.from_dict(doc["config"]),
+                           doc.get("training_log", {}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint: {exc}") from exc

@@ -31,7 +31,7 @@ import bisect
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 from scipy import ndimage
@@ -63,6 +63,18 @@ def quantize_mass(m: float, resolution_g: float = 0.1) -> float:
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+def check_config_keys(cls, doc, where: str) -> dict:
+    """Return ``doc`` as a dict if it is a JSON object whose keys are all
+    fields of the dataclass ``cls``; otherwise raise ValueError naming the
+    unknown keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(repr(k) for k in set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return dict(doc)
+
 
 @dataclass
 class NoiseParams:
@@ -113,6 +125,12 @@ class ScaleParams:
     lag: int = 2                # reading delay, in scale samples
     transient_gain: float = 0.6  # impulse overshoot per gram landed last sample
 
+    def __post_init__(self):
+        if not self.rate_hz > 0:
+            raise ValueError(f"scale rate_hz must be positive, got {self.rate_hz}")
+        if not self.resolution_g > 0:
+            raise ValueError(f"scale resolution_g must be positive, got {self.resolution_g}")
+
 
 @dataclass
 class SimConfig:
@@ -159,12 +177,14 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        d = dict(d)
+        """Build from a JSON document; unknown keys, at the top level or in a
+        nested section, raise ValueError by name."""
+        d = check_config_keys(cls, d, "SimConfig")
         for key, sub in (("noise", NoiseParams), ("clump_lognormal", ClumpParams),
                          ("pregrasp", PregraspParams), ("postgrasp", PostgraspParams),
                          ("scale", ScaleParams)):
-            if key in d and isinstance(d[key], dict):
-                d[key] = sub(**d[key])
+            if key in d:
+                d[key] = sub(**check_config_keys(sub, d[key], f"SimConfig.{key}"))
         for key in ("tray_mm", "lambda_range", "rho_range", "footprint_mm"):
             if key in d:
                 d[key] = tuple(d[key])

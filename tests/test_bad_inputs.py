@@ -1,0 +1,249 @@
+"""Bad inputs are rejected when they are built or loaded, by name, and the
+CLI turns each into exit 2 with one line on stderr."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from entpick import cli, mdn, sim
+from entpick.mdn import ModelConfig
+
+FUZZ = settings(max_examples=30, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def run_cli(*argv):
+    """Exit code and stderr lines of one CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue().splitlines()
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bad_inputs")
+
+
+@pytest.fixture(scope="module")
+def dataset_path(workdir):
+    rows = [mdn.DataRow(np.zeros((160, 160)), 2.0, 5.0 + i, "train" if i < 3 else "eval")
+            for i in range(4)]
+    path = workdir / "data.jsonl"
+    mdn.Dataset(rows).to_jsonl(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def checkpoint_doc(workdir):
+    path = workdir / "model.json"
+    mdn.save_checkpoint(mdn.init_params(ModelConfig(K=1, hidden_sizes=(4,))), path)
+    return json.loads(path.read_text())
+
+
+def keys_not_in(cls):
+    names = {f.name for f in dataclasses.fields(cls)}
+    return st.text(min_size=1, max_size=12).filter(lambda k: k not in names)
+
+
+# ---------------------------------------------------------------- ModelConfig
+
+crop_side = mdn.CROP_SIDE
+bad_model_fields = st.one_of(
+    st.builds(lambda v: {"epochs": v}, st.integers(max_value=-1) | st.just(2.5) | st.just("9")),
+    st.builds(lambda v: {"batch_size": v}, st.integers(max_value=0) | st.just(None)),
+    st.builds(lambda v: {"learning_rate": v},
+              st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf, "0.1"])),
+    st.builds(lambda ok, bad, at: {"hidden_sizes": ok[:at] + [bad] + ok[at:]},
+              st.lists(st.integers(1, 32), max_size=3), st.integers(max_value=0),
+              st.integers(0, 3)),
+    st.builds(lambda side, other, first: {"capture_window_mm": [side, other] if first
+                                          else [other, side]},
+              st.integers(max_value=0) | st.integers(crop_side + 1, 10_000)
+              | st.floats(1.1, 149.9).filter(lambda x: not x.is_integer()),
+              st.integers(1, crop_side), st.booleans()),
+    st.builds(lambda sides: {"capture_window_mm": sides},
+              st.lists(st.integers(1, crop_side), max_size=4).filter(lambda s: len(s) != 2)),
+    st.builds(lambda d: {"feature_downsample": d},
+              st.sampled_from([0, -80, 1, 3, 7, 27, 160.0])),
+)
+
+
+@given(bad_model_fields)
+@FUZZ
+def test_model_config_rejects_bad_fields(bad):
+    with pytest.raises(ValueError, match=f"ModelConfig.*{next(iter(bad))}"):
+        ModelConfig.from_dict(bad)
+
+
+@given(keys_not_in(ModelConfig))
+@FUZZ
+def test_model_config_names_unknown_key(key):
+    with pytest.raises(ValueError) as info:
+        ModelConfig.from_dict({"epochs": 5, key: 1})
+    assert repr(key) in str(info.value)
+
+
+@given(st.integers(1, crop_side), st.integers(1, crop_side), st.integers(0, 50),
+       st.integers(1, 64), st.lists(st.integers(1, 16), max_size=2),
+       st.sampled_from([8, 16, 20, 40, 80, 160]))
+@FUZZ
+def test_model_config_accepts_valid_fields(cw, cl, epochs, batch, hidden, downsample):
+    doc = {"capture_window_mm": [cw, cl], "epochs": epochs, "batch_size": batch,
+           "hidden_sizes": hidden, "feature_downsample": downsample}
+    cfg = ModelConfig.from_dict(doc)
+    assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@given(bad_model_fields | st.builds(lambda k: {k: 1}, keys_not_in(ModelConfig)))
+@FUZZ
+def test_cli_train_bad_config_exit_2(workdir, dataset_path, bad):
+    config = write_json(workdir / "model_config.json", bad)
+    code, err = run_cli("train", dataset_path, "--config", config,
+                        "--out", workdir / "never.json")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: bad model config")
+
+
+def test_cli_train_named_failures(workdir, dataset_path):
+    for doc, needle in (({"bogus": 3}, "'bogus'"), ({"batch_size": 0}, "batch_size"),
+                        ({"capture_window_mm": [300, 24]}, "capture_window_mm")):
+        config = write_json(workdir / "named.json", doc)
+        code, err = run_cli("train", dataset_path, "--config", config,
+                            "--out", workdir / "never.json")
+        assert code == 2 and len(err) == 1 and needle in err[0]
+
+
+# ---------------------------------------------------------------- SimConfig
+
+SECTIONS = {"noise": sim.NoiseParams, "pregrasp": sim.PregraspParams,
+            "postgrasp": sim.PostgraspParams, "scale": sim.ScaleParams,
+            "clump_lognormal": sim.ClumpParams}
+
+unknown_sim_key = st.one_of(
+    st.builds(lambda k: ({k: 1}, k), keys_not_in(sim.SimConfig)),
+    *(st.builds(lambda k, s=section: ({s: {k: 1}}, k), keys_not_in(cls))
+      for section, cls in SECTIONS.items()),
+)
+bad_scale = st.builds(lambda field, v: {"scale": {field: v}},
+                      st.sampled_from(["rate_hz", "resolution_g"]),
+                      st.floats(max_value=0.0) | st.just(math.nan))
+
+
+@given(unknown_sim_key)
+@FUZZ
+def test_sim_config_names_unknown_key(case):
+    doc, key = case
+    with pytest.raises(ValueError) as info:
+        sim.SimConfig.from_dict(doc)
+    assert repr(key) in str(info.value)
+
+
+@given(bad_scale)
+@FUZZ
+def test_sim_config_rejects_bad_scale(doc):
+    field = next(iter(doc["scale"]))
+    with pytest.raises(ValueError, match=field):
+        sim.SimConfig.from_dict(doc)
+
+
+@given(unknown_sim_key.map(lambda case: case[0]) | bad_scale)
+@FUZZ
+def test_cli_collect_bad_config_exit_2(workdir, doc):
+    config = write_json(workdir / "sim_config.json", doc)
+    code, err = run_cli("collect", "--n", 2, "--config", config,
+                        "--out", workdir / "never.jsonl")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: bad simulator config")
+
+
+# ---------------------------------------------------------------- checkpoints
+
+CHECKPOINT_COMMANDS = (
+    ("inspect", "{model}", "--target", 20, "--out", "{out}"),
+    ("run", "{model}", "--target", 20, "--episodes", 1, "--out", "{out}"),
+    ("experiment", "TABLE1", "{model}", "--episodes", 30, "--out", "{out}"),
+)
+
+
+def cli_with_model(command, model, out):
+    return run_cli(*(str(a).format(model=model, out=out) for a in command))
+
+
+@given(st.sampled_from(["config", "theta"]), st.sampled_from(CHECKPOINT_COMMANDS))
+@FUZZ
+def test_checkpoint_missing_key_named(workdir, checkpoint_doc, missing, command):
+    doc = {k: v for k, v in checkpoint_doc.items() if k != missing}
+    path = write_json(workdir / "no_key.json", doc)
+    with pytest.raises(ValueError, match=f"no_key.json.*'{missing}'"):
+        mdn.load_checkpoint(path)
+    code, err = cli_with_model(command, path, workdir / "never")
+    assert code == 2 and len(err) == 1
+    assert "no_key.json" in err[0] and repr(missing) in err[0]
+
+
+@given(st.data(), st.sampled_from(CHECKPOINT_COMMANDS))
+@FUZZ
+def test_checkpoint_truncated_or_mangled(workdir, checkpoint_doc, data, command):
+    text = json.dumps(checkpoint_doc)
+    bad = data.draw(st.one_of(
+        st.integers(0, len(text) - 1).map(lambda n: text[:n]),
+        st.builds(lambda theta: json.dumps({**checkpoint_doc, "theta": theta}),
+                  st.lists(st.floats(allow_nan=False), max_size=5) | st.just("x")),
+        st.builds(lambda cfg: json.dumps({**checkpoint_doc, "config": cfg}),
+                  st.just([]) | st.just({"K": 0}) | st.just({"bogus": 1})),
+        st.sampled_from(["[]", "3", "null"]),
+    ))
+    path = workdir / "mangled.json"
+    path.write_text(bad)
+    with pytest.raises(ValueError, match="mangled.json"):
+        mdn.load_checkpoint(path)
+    code, err = cli_with_model(command, path, workdir / "never")
+    assert code == 2 and len(err) == 1 and "mangled.json" in err[0]
+
+
+# ---------------------------------------------------------------- datasets
+
+bad_shapes = st.one_of(
+    st.tuples(st.integers(1, 170), st.integers(1, 170)).filter(lambda s: s != (160, 160)),
+    st.sampled_from([(160,), (0,), (2, 160, 160), (160, 160, 1)]),
+)
+
+
+@given(bad_shapes, st.integers(0, 3))
+@FUZZ
+def test_dataset_rejects_wrong_patch_shape(workdir, dataset_path, shape, line):
+    rows = dataset_path.read_text().splitlines()
+    doc = json.loads(rows[line])
+    doc["patch"] = np.zeros(shape).tolist()
+    rows[line] = json.dumps(doc)
+    path = workdir / "bad_patch.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"line {line + 1}.*shape"):
+        mdn.Dataset.from_jsonl(path)
+    code, err = run_cli("train", path, "--out", workdir / "never.json")
+    assert code == 2 and len(err) == 1 and f"line {line + 1}" in err[0]
+
+
+@pytest.mark.parametrize("field", ["z_cm", "mass_g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_dataset_rejects_non_finite_depth_or_mass(workdir, dataset_path, field, value):
+    rows = dataset_path.read_text().splitlines()
+    doc = json.loads(rows[2])
+    doc[field] = value
+    rows[2] = json.dumps(doc)
+    path = workdir / "non_finite.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="line 3.*non-finite"):
+        mdn.Dataset.from_jsonl(path)

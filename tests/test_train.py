@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,8 @@ def test_dataset_jsonl_round_trip(tmp_path):
 
 def test_dataset_corrupt_row_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    good = '{"patch": [[0.0]], "z_cm": 2.0, "mass_g": 5.0, "split": "train"}'
-    path.write_text(good + "\n" + '{"patch": [[0.0]], "z_cm": 2.0}' + "\n")
+    patch = json.dumps(np.zeros((160, 160)).tolist())
+    good = f'{{"patch": {patch}, "z_cm": 2.0, "mass_g": 5.0, "split": "train"}}'
+    path.write_text(good + "\n" + f'{{"patch": {patch}, "z_cm": 2.0}}' + "\n")
     with pytest.raises(ValueError, match="line 2"):
         Dataset.from_jsonl(path)

@@ -1,0 +1,134 @@
+"""Feature-space training against its oracle: the variant table must equal
+the features of every ``augment`` crop, and ``train`` must follow the
+per-step crop-and-featurise loop kept here as the reference."""
+
+import numpy as np
+import pytest
+
+from entpick import mdn
+from entpick.mdn import ModelConfig
+from entpick.sim import PatchObservation
+
+CONFIGS = {
+    "default": {},
+    "downsample40": {"feature_downsample": 40},
+    "odd_window": {"capture_window_mm": (41, 23)},
+    "no_capture": {"capture_window_mm": None},
+}
+
+
+class FixedDraw:
+    """Stands in for a Generator: replays one flip/offset draw the way
+    ``augment`` consumes the stream."""
+
+    def __init__(self, flip_v, flip_h, off):
+        self._coins = iter([0.25 if flip_v else 0.75, 0.25 if flip_h else 0.75])
+        self._off = off
+
+    def random(self):
+        return next(self._coins)
+
+    def integers(self, lo, hi, size):
+        assert (lo, hi, size) == (0, mdn.N_OFFSETS, 2)
+        return np.array(self._off)
+
+
+def all_draws():
+    for flip_v in (False, True):
+        for flip_h in (False, True):
+            for o0 in range(mdn.N_OFFSETS):
+                for o1 in range(mdn.N_OFFSETS):
+                    yield flip_v, flip_h, (o0, o1)
+
+
+def reference_train(dataset, config):
+    """The per-step loop the variant table replaces: augment each batch row,
+    featurise the crops, take an Adam step."""
+    train_rows, eval_rows = dataset.train_rows(), dataset.eval_rows()
+    rng = np.random.default_rng(config.seed)
+    params = mdn.init_params(config)
+    mdn._init_head_from_masses(params, [r.mass_g for r in train_rows])
+    eval_feats, eval_masses = mdn._dataset_features(eval_rows, config)
+    patches = [np.asarray(r.patch, dtype=float) for r in train_rows]
+    depths = np.array([r.z_cm for r in train_rows])
+    masses = np.array([r.mass_g for r in train_rows])
+    m = np.zeros_like(params.theta)
+    v = np.zeros_like(params.theta)
+    beta1, beta2 = 0.9, 0.999
+    t = 0
+    best_nll = mdn._nll_from_features(params, eval_feats, eval_masses)
+    best_theta = params.theta.copy()
+    eval_nlls = [best_nll]
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train_rows))
+        for start in range(0, len(train_rows), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            crops = [mdn.augment(PatchObservation(patches[i], depths[i]), rng).heights
+                     for i in idx]
+            feats = mdn.features_from_rows(np.stack(crops), depths[idx], config)
+            _, g = mdn._nll_value_grad(params, feats, masses[idx])
+            t += 1
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1 ** t)
+            v_hat = v / (1 - beta2 ** t)
+            params.theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        eval_nll = mdn._nll_from_features(params, eval_feats, eval_masses)
+        eval_nlls.append(eval_nll)
+        if eval_nll <= best_nll:
+            best_nll = eval_nll
+            best_theta = params.theta.copy()
+    return best_theta, eval_nlls
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_variant_table_matches_augment_crops(collected_dataset, name):
+    cfg = ModelConfig(**CONFIGS[name])
+    rows = collected_dataset.train_rows()[:3]
+    table = mdn._variant_features(rows, cfg)
+    assert table.shape == (3, mdn.N_VARIANTS, cfg.n_features)
+    seen = set()
+    for flip_v, flip_h, off in all_draws():
+        variant = mdn._draw_variant(FixedDraw(flip_v, flip_h, off))
+        seen.add(variant)
+        for i, row in enumerate(rows):
+            obs = PatchObservation(np.asarray(row.patch, dtype=float), row.z_cm)
+            crop = mdn.augment(obs, FixedDraw(flip_v, flip_h, off)).heights
+            ref = mdn.features_from_rows(crop[None], np.array([row.z_cm]), cfg)[0]
+            assert np.abs(table[i, variant] - ref).max() <= 1e-12, (flip_v, flip_h, off)
+    assert seen == set(range(mdn.N_VARIANTS))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_train_matches_reference_loop(collected_dataset, name):
+    cfg = ModelConfig(seed=7, epochs=3, **CONFIGS[name])
+    params = mdn.train(collected_dataset, cfg)
+    ref_theta, ref_eval = reference_train(collected_dataset, cfg)
+    assert np.abs(params.theta - ref_theta).max() <= 1e-9
+    got_eval = [e["eval_nll"] for e in params.training_log["epochs"]]
+    assert np.allclose(got_eval, ref_eval, rtol=0, atol=1e-9)
+
+
+def test_default_checkpoint_matches_reference(collected_dataset, trained_model):
+    ref_theta, ref_eval = reference_train(collected_dataset, trained_model.config)
+    assert np.abs(trained_model.theta - ref_theta).max() <= 1e-9
+    assert trained_model.training_log["best_eval_nll"] == pytest.approx(min(ref_eval),
+                                                                        rel=0, abs=1e-9)
+
+
+def test_train_never_crops(collected_dataset, monkeypatch):
+    calls = {"features_from_rows": 0}
+    real = mdn.features_from_rows
+
+    def counting(*args, **kw):
+        calls["features_from_rows"] += 1
+        return real(*args, **kw)
+
+    def no_augment(*args, **kw):
+        raise AssertionError("augment called during training")
+
+    monkeypatch.setattr(mdn, "features_from_rows", counting)
+    monkeypatch.setattr(mdn, "augment", no_augment)
+    mdn.train(collected_dataset, ModelConfig(seed=7, epochs=2))
+    assert calls["features_from_rows"] == 1   # the eval split
+
