@@ -23,17 +23,22 @@ finite-difference checks stay trivial.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .sim import PATCH_SIDE, PatchObservation, check_config_keys
+from .sim import (PATCH_SIDE, PatchObservation, check_config_keys, check_int,
+                  check_number, check_tuple)
 
 CROP_SIDE = 150
 HEIGHT_SCALE = 0.1   # mm -> feature units
 LOG_2PI = math.log(2.0 * math.pi)
+PATCH_DTYPE = np.dtype("<f8")   # dataset patch bytes: little-endian float64
+PATCH_BYTES = PATCH_SIDE * PATCH_SIDE * PATCH_DTYPE.itemsize
 
 
 @dataclass
@@ -63,15 +68,20 @@ class Dataset:
         return [r.mass_g for r in self.rows if split is None or r.split == split]
 
     def to_jsonl(self, path) -> None:
+        """Write one JSON line per row; the patch is the base64 of its
+        float64 values, little-endian and row-major (see ``_decode_patch``)."""
         with open(path, "w", encoding="utf-8") as f:
             for r in self.rows:
-                doc = {"patch": np.asarray(r.patch).tolist(), "z_cm": r.z_cm,
-                       "mass_g": r.mass_g, "split": r.split}
+                patch = np.asarray(r.patch, dtype=PATCH_DTYPE).tobytes()   # row-major
+                doc = {"patch": base64.b64encode(patch).decode("ascii"),
+                       "z_cm": r.z_cm, "mass_g": r.mass_g, "split": r.split}
                 f.write(json.dumps(doc, separators=(",", ":")))
                 f.write("\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "Dataset":
+        """Read a dataset line by line; a bad row raises ValueError naming
+        the file and the line."""
         rows = []
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
@@ -80,7 +90,7 @@ class Dataset:
                     continue
                 try:
                     doc = json.loads(line)
-                    patch = np.array(doc["patch"], dtype=float)
+                    patch = _decode_patch(doc["patch"])
                     row = DataRow(patch, float(doc["z_cm"]), float(doc["mass_g"]),
                                   str(doc["split"]))
                     if not (math.isfinite(row.z_cm) and math.isfinite(row.mass_g)):
@@ -89,37 +99,31 @@ class Dataset:
                         raise ValueError("negative mass")
                     if row.split not in ("train", "eval"):
                         raise ValueError(f"unknown split {row.split!r}")
-                    if patch.shape != (PATCH_SIDE, PATCH_SIDE):
-                        raise ValueError(f"patch has shape {patch.shape}, "
-                                         f"expected ({PATCH_SIDE}, {PATCH_SIDE})")
                 except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                     raise ValueError(f"{path}: corrupt dataset row at line {lineno}: {exc}") from exc
                 rows.append(row)
         return cls(rows)
 
 
-def _check_real(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.number)) \
-            or not math.isfinite(value):
-        raise ValueError(f"ModelConfig.{name} must be a finite number, got {value!r}")
-
-
-def _check_positive(name, value):
-    _check_real(name, value)
-    if value <= 0:
-        raise ValueError(f"ModelConfig.{name} must be positive, got {value!r}")
-
-
-def _check_int(name, value, lo):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
-        raise ValueError(f"ModelConfig.{name} must be an integer >= {lo}, got {value!r}")
-
-
-def _check_tuple(name, value, length=None) -> tuple:
-    if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
-        what = f"{length} numbers" if length is not None else "a list"
-        raise ValueError(f"ModelConfig.{name} must be {what}, got {value!r}")
-    return tuple(value)
+def _decode_patch(text) -> np.ndarray:
+    """The PATCH_SIDE x PATCH_SIDE patch of a dataset row: standard base64
+    (RFC 4648) of little-endian float64 values in row-major order. Returns
+    an owned, writable array; raises ValueError for anything else,
+    including non-finite heights."""
+    if not isinstance(text, str):
+        raise ValueError(f"patch must be base64 float64 bytes, got a JSON "
+                         f"{type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"patch must be base64 float64 bytes: {exc}") from exc
+    if len(raw) != PATCH_BYTES:
+        raise ValueError(f"patch has {len(raw)} bytes, expected {PATCH_BYTES} "
+                         f"({PATCH_SIDE}x{PATCH_SIDE} float64)")
+    patch = np.frombuffer(raw, dtype=PATCH_DTYPE).reshape(PATCH_SIDE, PATCH_SIDE).astype(float)
+    if not np.isfinite(patch).all():
+        raise ValueError("non-finite patch value")
+    return patch
 
 
 @dataclass
@@ -141,40 +145,38 @@ class ModelConfig:
     capture_window_mm: tuple | None = (40.0, 24.0)
 
     def __post_init__(self):
-        _check_int("K", self.K, 1)
-        _check_int("feature_downsample", self.feature_downsample, 1)
+        check_int("ModelConfig.K", self.K, 1)
+        check_int("ModelConfig.feature_downsample", self.feature_downsample, 1)
         if PATCH_SIDE % self.feature_downsample != 0:
             raise ValueError(f"ModelConfig.feature_downsample must divide {PATCH_SIDE}, "
                              f"got {self.feature_downsample}")
         if self.pooled_side > CROP_SIDE:
             raise ValueError(f"ModelConfig.feature_downsample {self.feature_downsample} pools "
                              f"to a side above the {CROP_SIDE} px crop")
-        self.hidden_sizes = _check_tuple("hidden_sizes", self.hidden_sizes)
+        if not isinstance(self.hidden_sizes, (list, tuple)):
+            raise ValueError(f"ModelConfig.hidden_sizes must be a list, got {self.hidden_sizes!r}")
+        self.hidden_sizes = tuple(self.hidden_sizes)
         for size in self.hidden_sizes:
-            _check_int("hidden_sizes entry", size, 1)
-        _check_positive("sigma_floor", self.sigma_floor)
-        _check_positive("learning_rate", self.learning_rate)
-        _check_int("epochs", self.epochs, 0)
-        _check_int("batch_size", self.batch_size, 1)
-        _check_int("seed", self.seed, 0)
+            check_int("ModelConfig.hidden_sizes entry", size, 1)
+        check_number("ModelConfig.sigma_floor", self.sigma_floor, 0, lo_open=True)
+        check_number("ModelConfig.learning_rate", self.learning_rate, 0, lo_open=True)
+        check_int("ModelConfig.epochs", self.epochs, 0)
+        check_int("ModelConfig.batch_size", self.batch_size, 1)
+        check_int("ModelConfig.seed", self.seed, 0)
         if self.reduction not in ("moments", "dominant"):
             raise ValueError(f"ModelConfig.reduction must be 'moments' or 'dominant', "
                              f"got {self.reduction!r}")
         if self.fixed_sigma is not None:
-            _check_positive("fixed_sigma", self.fixed_sigma)
-        self.mu_init_g = _check_tuple("mu_init_g", self.mu_init_g, 2)
-        for mu in self.mu_init_g:
-            _check_real("mu_init_g", mu)
+            check_number("ModelConfig.fixed_sigma", self.fixed_sigma, 0, lo_open=True)
+        self.mu_init_g = check_tuple("ModelConfig.mu_init_g", self.mu_init_g, 2)
         if self.capture_window_mm is not None:
             # the window must fit the crop: the variant table reads it as
             # an exact rectangle of every crop
-            self.capture_window_mm = _check_tuple("capture_window_mm",
-                                                  self.capture_window_mm, 2)
-            for side in self.capture_window_mm:
-                _check_real("capture_window_mm", side)
-                if not (float(side).is_integer() and 1 <= side <= CROP_SIDE):
-                    raise ValueError(f"ModelConfig.capture_window_mm sides must be integers in "
-                                     f"[1, {CROP_SIDE}], got {self.capture_window_mm}")
+            self.capture_window_mm = check_tuple("ModelConfig.capture_window_mm",
+                                                 self.capture_window_mm, 2, 1, CROP_SIDE)
+            if not all(float(side).is_integer() for side in self.capture_window_mm):
+                raise ValueError(f"ModelConfig.capture_window_mm sides must be integers, "
+                                 f"got {self.capture_window_mm}")
 
     @property
     def pooled_side(self) -> int:
@@ -314,13 +316,17 @@ def features_from_rows(patches: np.ndarray, depths: np.ndarray, config: ModelCon
     return np.hstack(cols)
 
 
-def _obs_features(obs: PatchObservation, config: ModelConfig) -> np.ndarray:
+def _obs_patch(obs: PatchObservation) -> np.ndarray:
     if obs.insertion_depth is None:
         raise ValueError("observation has no insertion depth set")
     patch = np.asarray(obs.heights, dtype=float)
     if patch.ndim != 2 or patch.shape[0] != patch.shape[1]:
         raise ValueError(f"expected a square patch, got shape {patch.shape}")
-    return features_from_rows(patch[None], np.array([obs.insertion_depth]), config)
+    return patch
+
+
+def _obs_features(obs: PatchObservation, config: ModelConfig) -> np.ndarray:
+    return features_from_rows(_obs_patch(obs)[None], np.array([obs.insertion_depth]), config)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,9 @@ def dominant_component(mix: MixtureParams) -> tuple:
 def _batch_features_masses(params: ModelParams, batch):
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    feats = np.vstack([_obs_features(obs, params.config) for obs, _ in batch])
+    patches = [_obs_patch(obs) for obs, _ in batch]
+    depths = np.array([obs.insertion_depth for obs, _ in batch], dtype=float)
+    feats = features_from_rows(np.stack(patches), depths, params.config)
     masses = np.array([m for _, m in batch], dtype=float)
     return feats, masses
 

@@ -76,6 +76,44 @@ def check_config_keys(cls, doc, where: str) -> dict:
     return dict(doc)
 
 
+def check_number(where: str, value, lo=-math.inf, hi=math.inf, *,
+                 lo_open=False, hi_open=False) -> None:
+    """Raise ValueError naming ``where`` unless ``value`` is a finite real
+    number between ``lo`` and ``hi`` (inclusive unless an end is open)."""
+    ok = (not isinstance(value, bool) and isinstance(value, (int, float, np.number))
+          and math.isfinite(value)
+          and (lo < value if lo_open else lo <= value)
+          and (value < hi if hi_open else value <= hi))
+    if ok:
+        return
+    if lo == -math.inf and hi == math.inf:
+        want = "a finite number"
+    elif hi == math.inf:
+        want = f"a number {'>' if lo_open else '>='} {lo}"
+    else:
+        want = f"a number in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+    raise ValueError(f"{where} must be {want}, got {value!r}")
+
+
+def check_int(where: str, value, lo: int) -> None:
+    """Raise ValueError naming ``where`` unless ``value`` is an integer >= lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{where} must be an integer >= {lo}, got {value!r}")
+
+
+def check_tuple(where: str, value, length: int, lo=-math.inf, hi=math.inf, *,
+                lo_open=False, ordered=False) -> tuple:
+    """``value`` as a tuple of ``length`` numbers, each checked as by
+    ``check_number``; ``ordered`` also requires a range low <= high."""
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise ValueError(f"{where} must have {length} entries, got {value!r}")
+    for i, v in enumerate(value):
+        check_number(f"{where}[{i}]", v, lo, hi, lo_open=lo_open)
+    if ordered and value[0] > value[1]:
+        raise ValueError(f"{where} must be a range low <= high, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class NoiseParams:
     amp_mm: float = 1.8
@@ -85,8 +123,10 @@ class NoiseParams:
     crater_depth_mm: tuple = (3.0, 7.0)
 
     def __post_init__(self):
-        self.craters = tuple(self.craters)
-        self.crater_depth_mm = tuple(self.crater_depth_mm)
+        self.craters = check_tuple("SimConfig.noise.craters", self.craters, 2, 0,
+                                    ordered=True)
+        self.crater_depth_mm = check_tuple("SimConfig.noise.crater_depth_mm",
+                                            self.crater_depth_mm, 2, 0, ordered=True)
 
 
 @dataclass
@@ -95,6 +135,9 @@ class ClumpParams:
     mu: float = 0.693147  # ln 2: median clump just under 2 g
     sigma: float = 0.45
     r_mm: float = 14.0     # radius of the region a clump is torn from
+
+    def __post_init__(self):
+        check_number("SimConfig.clump_lognormal.r_mm", self.r_mm, 0, lo_open=True)
 
     def mean_mass_g(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma ** 2)
@@ -105,6 +148,11 @@ class PregraspParams:
     beta: float = 0.35     # lambda multiplier inside the loosened disk
     f: float = 1.03        # height fluff factor (density scaled by 1/f)
     r_mm: float = 40.0     # loosened-disk radius
+
+    def __post_init__(self):
+        check_number("SimConfig.pregrasp.beta", self.beta, 0, 1, lo_open=True, hi_open=True)
+        check_number("SimConfig.pregrasp.f", self.f, 1, lo_open=True)
+        check_number("SimConfig.pregrasp.r_mm", self.r_mm, 0, lo_open=True)
 
 
 @dataclass
@@ -117,6 +165,13 @@ class PostgraspParams:
     v_max: float = 2.0
     piece_g: float = 2.5        # granularity the held base mass breaks into
 
+    def __post_init__(self):
+        for name in ("gamma_shape", "gamma_scale", "piece_g", "v_min"):
+            check_number(f"SimConfig.postgrasp.{name}", getattr(self, name), 0, lo_open=True)
+        for name in ("p_clump", "p_tangle"):
+            check_number(f"SimConfig.postgrasp.{name}", getattr(self, name), 0, 1)
+        check_number("SimConfig.postgrasp.v_max", self.v_max, self.v_min)
+
 
 @dataclass
 class ScaleParams:
@@ -126,10 +181,9 @@ class ScaleParams:
     transient_gain: float = 0.6  # impulse overshoot per gram landed last sample
 
     def __post_init__(self):
-        if not self.rate_hz > 0:
-            raise ValueError(f"scale rate_hz must be positive, got {self.rate_hz}")
-        if not self.resolution_g > 0:
-            raise ValueError(f"scale resolution_g must be positive, got {self.resolution_g}")
+        check_number("SimConfig.scale.rate_hz", self.rate_hz, 0, lo_open=True)
+        check_number("SimConfig.scale.resolution_g", self.resolution_g, 0, lo_open=True)
+        check_int("SimConfig.scale.lag", self.lag, 0)
 
 
 @dataclass
@@ -154,23 +208,20 @@ class SimConfig:
     slump_reach_mm: float = 64.0
 
     def __post_init__(self):
-        w, d, h = self.tray_mm
-        if w <= 0 or d <= 0 or h <= 0:
-            raise ValueError(f"tray dimensions must be positive, got {self.tray_mm}")
-        if self.rho_range[0] <= 0:
-            raise ValueError(f"density must be positive, got rho_range={self.rho_range}")
-        if self.fill_mm < 0 or self.fill_mm > h:
-            raise ValueError("fill_mm must lie within the tray depth")
-        if not (0.0 <= self.lambda_range[0] <= self.lambda_range[1] <= 1.0):
-            raise ValueError(f"lambda_range must be within [0, 1], got {self.lambda_range}")
-        if self.footprint_mm[0] <= 0 or self.footprint_mm[1] <= 0:
-            raise ValueError("footprint must be positive")
-        if not 0.0 < self.pregrasp.beta < 1.0:
-            raise ValueError("pregrasp beta must be in (0, 1)")
-        if self.pregrasp.f <= 1.0:
-            raise ValueError("pregrasp fluff factor must exceed 1")
-        if not 0 < self.postgrasp.v_min <= self.postgrasp.v_max:
-            raise ValueError("need 0 < v_min <= v_max")
+        self.tray_mm = check_tuple("SimConfig.tray_mm", self.tray_mm, 3, 0, lo_open=True)
+        check_number("SimConfig.fill_mm", self.fill_mm, 0, self.tray_mm[2])
+        self.lambda_range = check_tuple("SimConfig.lambda_range", self.lambda_range, 2, 0, 1,
+                                         ordered=True)
+        self.rho_range = check_tuple("SimConfig.rho_range", self.rho_range, 2, 0,
+                                      lo_open=True, ordered=True)
+        self.footprint_mm = check_tuple("SimConfig.footprint_mm", self.footprint_mm, 2, 0,
+                                         lo_open=True)
+        check_number("SimConfig.eta_fill", self.eta_fill, 0, 1, lo_open=True)
+        check_number("SimConfig.kappa", self.kappa, 0)
+        check_number("SimConfig.clearance_mm", self.clearance_mm, 0)
+        check_number("SimConfig.slip_g", self.slip_g, 0)
+        check_number("SimConfig.slump_strength", self.slump_strength, 0, 1)
+        check_number("SimConfig.slump_reach_mm", self.slump_reach_mm, 1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -185,9 +236,6 @@ class SimConfig:
                          ("scale", ScaleParams)):
             if key in d:
                 d[key] = sub(**check_config_keys(sub, d[key], f"SimConfig.{key}"))
-        for key in ("tray_mm", "lambda_range", "rho_range", "footprint_mm"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
     @classmethod

@@ -1,6 +1,7 @@
 """Bad inputs are rejected when they are built or loaded, by name, and the
 CLI turns each into exit 2 with one line on stderr."""
 
+import base64
 import contextlib
 import dataclasses
 import io
@@ -141,6 +142,75 @@ bad_scale = st.builds(lambda field, v: {"scale": {field: v}},
                       st.floats(max_value=0.0) | st.just(math.nan))
 
 
+# (field path, values that must be rejected); each path names the field
+# the way the error message does
+BAD_SIM_FIELDS = {
+    "postgrasp.p_clump": st.floats(max_value=-1e-9) | st.floats(min_value=1 + 1e-9),
+    "postgrasp.p_tangle": st.floats(max_value=-1e-9) | st.floats(min_value=1 + 1e-9),
+    "kappa": st.floats(max_value=-1e-9) | st.sampled_from([math.nan, math.inf, "1.7", True]),
+    "eta_fill": st.floats(max_value=0.0) | st.floats(min_value=1 + 1e-9),
+    "slump_strength": st.floats(max_value=-1e-9) | st.floats(min_value=1 + 1e-9),
+    "tray_mm": st.lists(st.integers(1, 500), max_size=5).filter(lambda t: len(t) != 3),
+    "footprint_mm": st.lists(st.floats(1, 50), max_size=4).filter(lambda t: len(t) != 2),
+    "lambda_range": st.lists(st.floats(0, 1), max_size=4).filter(lambda t: len(t) != 2),
+    "rho_range": st.lists(st.floats(0.5, 2), max_size=4).filter(lambda t: len(t) != 2),
+    "noise.craters": st.lists(st.integers(0, 40), max_size=4).filter(lambda t: len(t) != 2)
+    | st.just([40, 10]),
+    "noise.crater_depth_mm": st.lists(st.floats(0, 9), max_size=4).filter(lambda t: len(t) != 2),
+    "clump_lognormal.r_mm": st.floats(max_value=0.0),
+    "pregrasp.r_mm": st.floats(max_value=0.0),
+    "slump_reach_mm": st.floats(max_value=1 - 1e-9) | st.just(math.nan),
+    "postgrasp.gamma_shape": st.floats(max_value=0.0),
+    "postgrasp.gamma_scale": st.floats(max_value=0.0),
+    "postgrasp.piece_g": st.floats(max_value=0.0) | st.just(None),
+    "clearance_mm": st.floats(max_value=-1e-9) | st.just(math.inf),
+    "slip_g": st.floats(max_value=-1e-9),
+    "scale.lag": st.integers(max_value=-1) | st.sampled_from([1.5, 2.0, "2", None]),
+}
+
+
+def sim_doc(path, value):
+    """A SimConfig document setting the field at ``path`` (``section.name``
+    or ``name``) to ``value``."""
+    section, _, name = path.rpartition(".")
+    return {section: {name: value}} if section else {name: value}
+
+
+bad_sim_field = st.sampled_from(sorted(BAD_SIM_FIELDS)).flatmap(
+    lambda path: BAD_SIM_FIELDS[path].map(lambda v: sim_doc(path, v)))
+
+
+@pytest.mark.parametrize("path", sorted(BAD_SIM_FIELDS))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_sim_config_rejects_bad_fields(path, data):
+    doc = sim_doc(path, data.draw(BAD_SIM_FIELDS[path]))
+    with pytest.raises(ValueError, match=f"SimConfig.{path}"):
+        sim.SimConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("postgrasp.p_clump", 1.0000001), ("postgrasp.p_tangle", -1e-12), ("kappa", -1e-12),
+    ("eta_fill", 0.0), ("slump_strength", 1.0000001), ("slump_reach_mm", 0.999),
+    ("clearance_mm", -1e-12), ("scale.lag", 2.0), ("pregrasp.r_mm", 0.0),
+    ("clump_lognormal.r_mm", 0), ("postgrasp.piece_g", 0.0), ("postgrasp.gamma_scale", 0),
+])
+def test_sim_config_rejects_boundary_values(path, value):
+    with pytest.raises(ValueError, match=f"SimConfig.{path}"):
+        sim.SimConfig.from_dict(sim_doc(path, value))
+
+
+@pytest.mark.parametrize("path, value", [
+    ("postgrasp.p_clump", 0.0), ("postgrasp.p_clump", 1.0), ("postgrasp.p_tangle", 1),
+    ("kappa", 0), ("eta_fill", 1.0), ("slump_strength", 0.0), ("slump_strength", 1.0),
+    ("slump_reach_mm", 1), ("clearance_mm", 0.0), ("slip_g", 0), ("scale.lag", 0),
+    ("noise.craters", [5, 5]), ("clump_lognormal.r_mm", 0.5), ("pregrasp.r_mm", 1e-3),
+])
+def test_sim_config_accepts_boundary_values(path, value):
+    cfg = sim.SimConfig.from_dict(sim_doc(path, value))
+    assert sim.SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 @given(unknown_sim_key)
 @FUZZ
 def test_sim_config_names_unknown_key(case):
@@ -158,7 +228,7 @@ def test_sim_config_rejects_bad_scale(doc):
         sim.SimConfig.from_dict(doc)
 
 
-@given(unknown_sim_key.map(lambda case: case[0]) | bad_scale)
+@given(unknown_sim_key.map(lambda case: case[0]) | bad_scale | bad_sim_field)
 @FUZZ
 def test_cli_collect_bad_config_exit_2(workdir, doc):
     config = write_json(workdir / "sim_config.json", doc)
@@ -215,35 +285,63 @@ def test_checkpoint_truncated_or_mangled(workdir, checkpoint_doc, data, command)
 
 # ---------------------------------------------------------------- datasets
 
-bad_shapes = st.one_of(
-    st.tuples(st.integers(1, 170), st.integers(1, 170)).filter(lambda s: s != (160, 160)),
-    st.sampled_from([(160,), (0,), (2, 160, 160), (160, 160, 1)]),
-)
-
-
-@given(bad_shapes, st.integers(0, 3))
-@FUZZ
-def test_dataset_rejects_wrong_patch_shape(workdir, dataset_path, shape, line):
+def with_row(dataset_path, line, **fields):
+    """The rows of ``dataset_path`` with row ``line`` (0-based) updated."""
     rows = dataset_path.read_text().splitlines()
-    doc = json.loads(rows[line])
-    doc["patch"] = np.zeros(shape).tolist()
-    rows[line] = json.dumps(doc)
+    rows[line] = json.dumps({**json.loads(rows[line]), **fields})
+    return "\n".join(rows) + "\n"
+
+
+def b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+PATCH_BYTES = 160 * 160 * 8
+
+
+@given(st.integers(0, 2 * PATCH_BYTES).filter(lambda n: n != PATCH_BYTES), st.integers(0, 3))
+@FUZZ
+def test_dataset_rejects_wrong_patch_shape(workdir, dataset_path, n_bytes, line):
+    # a patch of any byte count but 160 x 160 float64 values
     path = workdir / "bad_patch.jsonl"
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match=f"line {line + 1}.*shape"):
+    path.write_text(with_row(dataset_path, line, patch=b64(bytes(n_bytes))))
+    with pytest.raises(ValueError, match=f"line {line + 1}.*{n_bytes} bytes"):
         mdn.Dataset.from_jsonl(path)
     code, err = run_cli("train", path, "--out", workdir / "never.json")
     assert code == 2 and len(err) == 1 and f"line {line + 1}" in err[0]
 
 
+def nan_patch():
+    patch = np.zeros((160, 160))
+    patch[37, 101] = math.nan
+    return b64(patch.tobytes())
+
+
+@pytest.mark.parametrize("patch, needle", [
+    (np.zeros((160, 160)).tolist(), "patch must be base64 float64"),   # the list-of-floats form
+    ([[math.nan] * 160] * 160, "patch must be base64 float64"),
+    ("AAAA" * 68265 + "A", "patch must be base64 float64"),             # bad padding
+    ("@" * 273068, "patch must be base64 float64"),                     # not the alphabet
+    (b64(bytes(PATCH_BYTES)).replace("A", "A\n", 1), "patch must be base64 float64"),
+    (b64(bytes(PATCH_BYTES))[:-4] + "AA==", "204799 bytes"),            # a byte short
+    (None, "patch must be base64 float64"),
+    (nan_patch(), "non-finite patch"),
+    (b64(np.full((160, 160), -math.inf).tobytes()), "non-finite patch"),
+])
+def test_dataset_rejects_bad_patch(workdir, dataset_path, patch, needle):
+    path = workdir / "bad_patch.jsonl"
+    path.write_text(with_row(dataset_path, 1, patch=patch))
+    with pytest.raises(ValueError, match=f"line 2.*{needle}"):
+        mdn.Dataset.from_jsonl(path)
+    code, err = run_cli("train", path, "--out", workdir / "never.json")
+    assert code == 2 and len(err) == 1
+    assert "line 2" in err[0] and needle in err[0]
+
+
 @pytest.mark.parametrize("field", ["z_cm", "mass_g"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_dataset_rejects_non_finite_depth_or_mass(workdir, dataset_path, field, value):
-    rows = dataset_path.read_text().splitlines()
-    doc = json.loads(rows[2])
-    doc[field] = value
-    rows[2] = json.dumps(doc)
     path = workdir / "non_finite.jsonl"
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text(with_row(dataset_path, 2, **{field: value}))
     with pytest.raises(ValueError, match="line 3.*non-finite"):
         mdn.Dataset.from_jsonl(path)

@@ -132,6 +132,32 @@ def test_nll_empty_batch():
         mdn.nll_grad(params, [])
 
 
+@pytest.mark.parametrize("cfg", [ModelConfig(), tiny_config(),
+                                 ModelConfig(feature_downsample=20, capture_window_mm=(41, 23)),
+                                 ModelConfig(capture_window_mm=None)])
+@pytest.mark.parametrize("side, size", [(160, 1), (160, 10), (160, 37), (150, 10)])
+def test_batch_features_equal_per_observation(cfg, side, size):
+    # the loss featurises a batch in one call; each row must be the bits the
+    # single-observation path (inference, mdn_forward) gives
+    rng = np.random.default_rng(size)
+    batch = [(PatchObservation(rng.normal(0, 5, (side, side)), float(rng.uniform(1, 4))),
+              float(rng.uniform(0, 40))) for _ in range(size)]
+    feats, masses = mdn._batch_features_masses(mdn.init_params(cfg), batch)
+    single = np.vstack([mdn._obs_features(obs, cfg) for obs, _ in batch])
+    assert np.array_equal(feats, single)
+    assert np.array_equal(masses, [m for _, m in batch])
+
+
+def test_nll_batch_checks_each_observation():
+    rng = np.random.default_rng(13)
+    params = mdn.init_params(tiny_config())
+    good = (random_obs(rng), 1.0)
+    with pytest.raises(ValueError, match="insertion depth"):
+        mdn.nll_loss(params, [good, (PatchObservation(np.zeros((160, 160))), 1.0)])
+    with pytest.raises(ValueError, match="square"):
+        mdn.nll_grad(params, [good, (PatchObservation(np.zeros((160, 150)), 2.0), 1.0)])
+
+
 # ---------------------------------------------------------------- gradient
 
 def finite_difference(params, batch):

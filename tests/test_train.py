@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entpick import mdn
 from entpick.mdn import Dataset, DataRow, ModelConfig
@@ -132,10 +133,48 @@ def test_dataset_jsonl_round_trip(tmp_path):
         assert a.z_cm == b.z_cm and a.mass_g == b.mass_g and a.split == b.split
 
 
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+                  np.finfo(float).max, -np.finfo(float).max, 0.1, -3.25]
+
+
+@given(st.lists(st.tuples(st.integers(0, 160 * 160 - 1),
+                          st.sampled_from(SPECIAL_FLOATS)
+                          | st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=60),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.1, 10), st.floats(0, 100))
+@settings(max_examples=25, deadline=None)
+def test_dataset_jsonl_round_trips_patch_bits(tmp_path_factory, cells, seed, z_cm, mass_g):
+    # the patch is stored as its float64 bytes, so every value, -0.0 and
+    # subnormals included, comes back bit for bit
+    patch = np.random.default_rng(seed).normal(0, 50, 160 * 160)
+    for i, v in cells:
+        patch[i] = v
+    patch = patch.reshape(160, 160)
+    path = tmp_path_factory.mktemp("bits") / "data.jsonl"
+    Dataset([DataRow(patch, z_cm, mass_g, "eval"), DataRow(patch[::-1].T, 1.0, 0.0, "train")]
+            ).to_jsonl(path)
+    back = Dataset.from_jsonl(path)
+    assert back.rows[0].patch.tobytes() == patch.tobytes()
+    assert back.rows[1].patch.tobytes() == np.ascontiguousarray(patch[::-1].T).tobytes()
+    assert (back.rows[0].z_cm, back.rows[0].mass_g) == (z_cm, mass_g)
+    assert back.rows[0].patch.dtype == np.float64 and back.rows[0].patch.flags.writeable
+
+
+def test_train_on_reloaded_dataset_writes_same_checkpoint(collected_dataset, trained_model,
+                                                         tmp_path):
+    path = tmp_path / "data.jsonl"
+    collected_dataset.to_jsonl(path)
+    reloaded = mdn.train(Dataset.from_jsonl(path), trained_model.config)
+    mdn.save_checkpoint(trained_model, tmp_path / "memory.json")
+    mdn.save_checkpoint(reloaded, tmp_path / "reloaded.json")
+    assert (tmp_path / "memory.json").read_bytes() == (tmp_path / "reloaded.json").read_bytes()
+
+
 def test_dataset_corrupt_row_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    patch = json.dumps(np.zeros((160, 160)).tolist())
-    good = f'{{"patch": {patch}, "z_cm": 2.0, "mass_g": 5.0, "split": "train"}}'
-    path.write_text(good + "\n" + f'{{"patch": {patch}, "z_cm": 2.0}}' + "\n")
+    Dataset([DataRow(np.zeros((160, 160)), 2.0, 5.0, "train")]).to_jsonl(path)
+    good = json.loads(path.read_text())
+    bad = {"patch": good["patch"], "z_cm": 2.0}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(ValueError, match="line 2"):
         Dataset.from_jsonl(path)
