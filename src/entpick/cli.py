@@ -183,8 +183,11 @@ def cmd_run(args) -> int:
 def cmd_experiment(args) -> int:
     name = args.preset.upper()
     if name == "HISTOGRAM":
+        n = 200 if args.n is None else args.n
+        if n < 2:
+            raise UsageError("--n must be at least 2")
         cfg = _load_sim_config(args)
-        dataset = pipeline.run_collection(cfg, args.n or 200, seed=args.seed)
+        dataset = pipeline.run_collection(cfg, n, seed=args.seed)
         hist = experiments.mass_histogram(dataset, 2.0, split="train")
         doc = hist.to_dict()
         doc["modes"] = experiments.count_modes(hist)
@@ -196,11 +199,13 @@ def cmd_experiment(args) -> int:
     if name not in experiments.PRESET_NAMES:
         raise UsageError(f"unknown preset {args.preset!r}; available: "
                          f"{', '.join(experiments.PRESET_NAMES + ('HISTOGRAM',))}")
-    model = None
-    if args.model:
-        model = _load_model(args.model)
+    with _bad_input("--episodes"):
+        preset_obj = experiments.preset(
+            name, episodes=200 if args.episodes is None else args.episodes, seed=args.seed)
+    if preset_obj.targets is not None and not args.model:
+        raise UsageError(f"{name} needs a trained model checkpoint")
+    model = _load_model(args.model) if args.model else None
     cfg = _load_sim_config(args)
-    preset_obj = experiments.preset(name, episodes=args.episodes or 200, seed=args.seed)
     report = experiments.run_experiment(preset_obj, cfg, model, workers=args.workers)
     _dump_json(report.to_dict(), args.out)
     write_manifest(args.out, "experiment", args, [str(args.out)], {"root": args.seed})

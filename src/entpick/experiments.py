@@ -1,32 +1,37 @@
-"""Study presets and bootstrap evaluation.
+"""Study presets, the study runner and bootstrap evaluation.
 
-Four bundled presets compare the pipeline's ingredients head to head, each
-cell reporting a bootstrap mean +- std success rate over seeded episodes on
-independent heaps:
+A study is arms x cells. A preset lists its arms as (label, cell-seed key,
+episode kwargs) rows; its cells are percentile targets (nearest-rank
+percentiles of the model's training masses, which the training log
+carries), or fixed drops when it has no targets. ``run_experiment`` runs
+seeded episodes on fresh heaps for each arm x cell through the study's
+episode function in ``STUDIES``, and reports per band a bootstrap mean +-
+std rate of the study's success predicate:
 
-  TABLE1    selection margin: alpha in {0, 1}; success = grasped mass above
-            target - 2 g, at the 10th/50th/70th percentile targets.
-  TABLE2    loosening: pre-grasp on/off before random grasps, then a fixed
-            drop (3/4/5/10/15 g) discarded by post-grasping without spines;
-            success = final within +-2 g of (grasped - drop). Loads under
-            drop + 5 g are re-grasped.
-  TABLE3    spines on/off for a 10 g post-grasp drop after loosened random
-            grasps, bands +-2..5 g; loads under 15 g are re-grasped.
-  TABLE4    the full pipeline (alpha 1, pre-grasp, spined post-grasp) against
-            a baseline that picks at alpha 0 with pre-grasp and no post-grasp,
-            at the three percentile targets and bands +-2/3/4 g.
+  TABLE1    selection margin alpha 0 vs 1, a single pick; success = grasped
+            mass above target - 2 g, at the 10th/50th/70th percentiles.
+  TABLE2    pre-grasp on/off before random grasps, then a fixed drop
+            (3/4/5/10/15 g) discarded by spined post-grasping; success =
+            final within +-2 g of (grasped - drop). Loads under drop + 5 g
+            are re-grasped.
+  TABLE3    spines on/off for a 10 g drop after loosened random grasps,
+            bands +-2..5 g.
+  TABLE4    the full pipeline (alpha 1, pre-grasp, spined post-grasp)
+            against alpha 0 with pre-grasp and no post-grasp, at the
+            percentile targets and bands +-2/3/4 g.
 
-Percentile targets are nearest-rank percentiles of the model's training
-masses, which the training log carries. An episode mass ledger (heap loss
-vs placed + discarded) is accumulated into every report.
+Every report carries an episode mass ledger (heap loss vs placed +
+discarded).
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, asdict
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,59 +47,66 @@ from .sim import (ScaleState, SimConfig, Z_POOL_DEEP, apply_pregrasp,
 # never an assertion target.
 REFERENCE_TARGETS_G = {"imitation_cabbage": (22.0, 46.0, 56.0)}
 
-PRESET_NAMES = ("TABLE1", "TABLE2", "TABLE3", "TABLE4")
+REGRASP_MARGIN_G = 5.0     # random grasps under drop + margin are re-grasped
+BOOTSTRAP_B = 2000
 
 
 @dataclass
 class ExperimentPreset:
     name: str
-    flags: dict
+    arms: tuple                            # (label, cell-seed key, episode kwargs)
     targets: tuple | None = (10, 50, 70)   # percentiles of training masses
     episodes: int = 200
     bands: tuple = (2.0, 3.0, 4.0)
     seed: int = 20240601
-    drops_g: tuple | None = None
-    regrasp_margin_g: float = 5.0
-    bootstrap_B: int = 2000
+    drops_g: tuple | None = None           # the cells when targets is None
 
     def __post_init__(self):
         if self.episodes < 30:
             raise ValueError("need at least 30 episodes per cell")
-        if self.targets is not None:
-            if any(not 0 < p < 100 for p in self.targets):
-                raise ValueError("percentiles must lie in (0, 100)")
+        if self.targets is not None and any(not 0 < p < 100 for p in self.targets):
+            raise ValueError("percentiles must lie in (0, 100)")
+        if self.targets is None and not self.drops_g:
+            raise ValueError("a preset without percentile targets needs drops_g")
+
+
+def _switch(flag: str, **fixed) -> tuple:
+    """Off/on arms of one random-grasp episode flag, keyed by the bool."""
+    return tuple((f"{flag}={'on' if v else 'off'}", v, {**fixed, flag: v})
+                 for v in (False, True))
+
+
+_PRESETS = {
+    "TABLE1": dict(arms=tuple((f"alpha={a:g}", a, {"alpha": a}) for a in (0.0, 1.0)),
+                   bands=()),
+    "TABLE2": dict(arms=_switch("pregrasp", spines=True), targets=None, bands=(2.0,),
+                   drops_g=(3.0, 4.0, 5.0, 10.0, 15.0)),
+    "TABLE3": dict(arms=_switch("spines", pregrasp=True), targets=None,
+                   bands=(2.0, 3.0, 4.0, 5.0), drops_g=(10.0,)),
+    # pre-grasp and spines stay at their EpisodeConfig default, on, in both arms
+    "TABLE4": dict(arms=(("baseline", "baseline", {"alpha": 0.0, "use_postgrasp": False}),
+                         ("ours", "ours", {"alpha": 1.0}))),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, episodes: int = 200, seed: int = 20240601,
            drops_g: tuple | None = None) -> ExperimentPreset:
-    """A shipped study preset by name."""
+    """A shipped study preset by name; `drops_g` replaces the drops of the
+    drop-based presets."""
     name = name.upper()
-    if name == "TABLE1":
-        return ExperimentPreset("TABLE1", flags={"alpha": (0.0, 1.0), "pregrasp": True,
-                                                 "spines": True, "postgrasp": False},
-                                episodes=episodes, seed=seed, bands=())
-    if name == "TABLE2":
-        return ExperimentPreset("TABLE2", flags={"alpha": None, "pregrasp": (False, True),
-                                                 "spines": True, "postgrasp": True},
-                                targets=None, episodes=episodes, seed=seed,
-                                bands=(2.0,), drops_g=drops_g or (3.0, 4.0, 5.0, 10.0, 15.0))
-    if name == "TABLE3":
-        return ExperimentPreset("TABLE3", flags={"alpha": None, "pregrasp": True,
-                                                 "spines": (False, True), "postgrasp": True},
-                                targets=None, episodes=episodes, seed=seed,
-                                bands=(2.0, 3.0, 4.0, 5.0), drops_g=drops_g or (10.0,))
-    if name == "TABLE4":
-        return ExperimentPreset("TABLE4", flags={"arms": (
-            {"name": "baseline", "alpha": 0.0, "pregrasp": True, "spines": True, "postgrasp": False},
-            {"name": "ours", "alpha": 1.0, "pregrasp": True, "spines": True, "postgrasp": True},
-        )}, episodes=episodes, seed=seed, bands=(2.0, 3.0, 4.0))
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    fields = dict(_PRESETS[name])
+    if drops_g and fields.get("drops_g"):
+        fields["drops_g"] = drops_g
+    return ExperimentPreset(name, episodes=episodes, seed=seed, **fields)
 
 
 @dataclass
 class BootstrapReport:
     preset: str
-    cells: list                 # {arm, target_g, band_g, mean_pct, std_pct}
+    cells: list       # {arm, target_g, [percentile], band_g, metric, mean_pct, std_pct}
     regrasp: list               # {arm, target_g, rate_pct}
     seeds: dict
     ledger: dict
@@ -198,55 +210,46 @@ def count_modes(hist: Histogram, window: int = 3, min_height_frac: float = 0.15,
 
 
 # ---------------------------------------------------------------------------
-# episode runners
+# episodes: fn(sim_cfg, model, heap_seed, rng_seed, cell value, **arm kwargs)
 # ---------------------------------------------------------------------------
 
-def _random_grasp_episode(sim_cfg, heap_seed, rng_seed, pregrasp, spines, drop_g,
-                          regrasp_margin_g, zpool):
+def _random_grasp_episode(sim_cfg, model, heap_seed, rng_seed, drop_g, pregrasp, spines):
     """One TABLE2/TABLE3 style episode: random grasp (re-grasping light loads),
-    then drop `drop_g` by post-grasping. Returns the episode summary dict."""
+    then drop `drop_g` by post-grasping. The model is not used."""
     heap = init_heap(sim_cfg, heap_seed)
     rng = np.random.default_rng(rng_seed)
     ctl = pipeline.ControllerConfig.from_sim(sim_cfg)
     before = total_mass(heap)
-    regrasps = 0
-    outcome = None
-    for _ in range(30):
-        x, y, z = pipeline._random_grasp_point(heap, zpool, rng, sim_cfg)
+    for retries in range(30):
+        x, y, z = pipeline._random_grasp_point(heap, Z_POOL_DEEP, rng, sim_cfg)
         if pregrasp:
             apply_pregrasp(heap, x, y, z, rng, sim_cfg)
         outcome = execute_grasp(heap, x, y, z, rng, sim_cfg)
-        if outcome.grasped_mass < drop_g + regrasp_margin_g:
-            release_mass(heap, x, y, outcome.grasped_mass, sim_cfg)
-            regrasps += 1
-            outcome = None
-            continue
-        break
-    if outcome is None:
-        return {"ok": False, "regrasps": regrasps, "imbalance": 0.0}
-    grasped = outcome.grasped_mass
-    target = grasped - drop_g
+        if outcome.grasped_mass >= drop_g + REGRASP_MARGIN_G:
+            break
+        release_mass(heap, x, y, outcome.grasped_mass, sim_cfg)
+    else:
+        return {"ok": False, "retries": 30, "imbalance": 0.0}
+    target = outcome.grasped_mass - drop_g
     load = make_gripper_load(outcome, sim_cfg.postgrasp, spines)
     scale = ScaleState(params=sim_cfg.scale)
     final, _ = pipeline.run_postgrasp(load, target, scale, ctl, rng, sim_cfg.postgrasp)
-    imbalance = before - total_mass(heap) - grasped
-    return {"ok": True, "regrasps": regrasps, "grasped": grasped, "target": target,
-            "final": final, "err": abs(final - target), "imbalance": imbalance}
+    return {"ok": True, "retries": retries, "err": abs(final - target),
+            "imbalance": before - total_mass(heap) - outcome.grasped_mass}
 
 
-def _selection_episode(sim_cfg, model, heap_seed, rng_seed, target, alpha,
-                       pregrasp, spines, postgrasp):
-    """One TABLE1/TABLE4 style episode on a fresh heap."""
+def _selection_episode(sim_cfg, model, heap_seed, rng_seed, target, alpha, **episode_kw):
+    """One target-mass pick with retries on a fresh heap (TABLE4 and
+    `run_episode_batch`); `episode_kw` are EpisodeConfig fields."""
     heap = init_heap(sim_cfg, heap_seed)
     rng = np.random.default_rng(rng_seed)
-    cfg = EpisodeConfig.default(sim_cfg, use_pregrasp=pregrasp,
-                                use_postgrasp=postgrasp, spines=spines)
+    cfg = EpisodeConfig.default(sim_cfg, **episode_kw)
     before = total_mass(heap)
-    result = pipeline.run_inference_episode(model, heap, target, alpha, cfg, rng)
-    imbalance = before - total_mass(heap) - result.placed_g - result.discarded_g
-    return {"status": result.status, "grasped": result.grasped_initial,
-            "final": result.final_mass, "retries": result.retries,
-            "imbalance": imbalance}
+    r = pipeline.run_inference_episode(model, heap, target, alpha, cfg, rng)
+    imbalance = before - total_mass(heap) - r.placed_g - r.discarded_g
+    return {"status": r.status, "grasped": r.grasped_initial, "final": r.final_mass,
+            "retries": r.retries, "imbalance": imbalance, "events": r.events,
+            "chosen": r.chosen, "predicted": r.predicted}
 
 
 def _table1_episode(sim_cfg, model, heap_seed, rng_seed, target, alpha):
@@ -265,30 +268,44 @@ def _table1_episode(sim_cfg, model, heap_seed, rng_seed, target, alpha):
     return {"status": "placed", "grasped": outcome.grasped_mass, "imbalance": imbalance}
 
 
-def _call(payload):
-    fn, args = payload
-    return fn(*args)
-
-
-def _map_episodes(payloads, workers: int):
+def _map_episodes(episode, rows, workers: int) -> list:
+    """episode(*row) for every row, in order, on up to `workers` processes."""
     if workers <= 1:
-        return [_call(p) for p in payloads]
+        return [episode(*row) for row in rows]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call, payloads, chunksize=8))
+        return list(pool.map(episode, *zip(*rows), chunksize=8))
 
 
-def _episode_seeds(root_seed: int, n: int):
-    ss = np.random.SeedSequence(root_seed)
-    out = []
-    for p in ss.spawn(n):
-        words = p.generate_state(2)
-        out.append((int(words[0]), int(words[1])))
-    return out
+def _episode_seeds(root_seed: int, n: int) -> list:
+    """(heap seed, ops seed) per episode."""
+    return [tuple(int(w) for w in child.generate_state(2))
+            for child in np.random.SeedSequence(root_seed).spawn(n)]
 
 
 # ---------------------------------------------------------------------------
 # the studies
 # ---------------------------------------------------------------------------
+
+class Study(NamedTuple):
+    episode: Callable
+    metric: str
+    success: Callable          # (episode result, cell value, band) -> bool
+    regrasp: bool              # report the share of re-grasped episodes per cell
+
+
+_RANDOM_GRASP = Study(_random_grasp_episode, "final_within_band_of_drop_target",
+                      lambda r, drop, band: r["ok"] and r["err"] <= band, True)
+STUDIES = {
+    "TABLE1": Study(_table1_episode, "grasped_above_target_minus_2g",
+                    lambda r, target, band: r["status"] == "placed"
+                    and r["grasped"] > target - 2.0, False),
+    "TABLE2": _RANDOM_GRASP,
+    "TABLE3": _RANDOM_GRASP,
+    "TABLE4": Study(_selection_episode, "final_within_band",
+                    lambda r, target, band: r["status"] == "placed"
+                    and abs(r["final"] - target) <= band, True),
+}
+
 
 def _targets_from_model(model: mdn.ModelParams, percentiles) -> list:
     masses = model.training_log.get("train_masses_g")
@@ -299,91 +316,45 @@ def _targets_from_model(model: mdn.ModelParams, percentiles) -> list:
 
 
 def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
-                   model: mdn.ModelParams | None = None, workers: int = 1,
-                   zpool=None) -> BootstrapReport:
-    """Execute a study preset and aggregate bootstrap cells."""
+                   model: mdn.ModelParams | None = None,
+                   workers: int = 1) -> BootstrapReport:
+    """Run every arm x cell of a study preset and bootstrap one success rate
+    per band. Cells are percentile targets (which need the model), or the
+    preset's drops when it has no targets."""
     name = preset_obj.name.upper()
-    if name in ("TABLE1", "TABLE4") and model is None:
-        raise ValueError(f"{name} needs a trained model")
-    if zpool is None:
-        zpool = Z_POOL_DEEP
-
-    cells = []
-    regrasp = []
-    counts = {"episodes": 0, "infeasible": 0, "failed_to_grasp": 0}
-    imbalances = []
-    boot_seed = preset_obj.seed + 104729
-
-    if name == "TABLE1":
-        targets = _targets_from_model(model, preset_obj.targets)
-        for alpha in preset_obj.flags["alpha"]:
-            for p, target in zip(preset_obj.targets, targets):
-                seeds = _episode_seeds(_cell_seed(preset_obj.seed, alpha, p), preset_obj.episodes)
-                payloads = [(_table1_episode, (sim_config, model, hs, rs, target, alpha))
-                            for hs, rs in seeds]
-                results = _map_episodes(payloads, workers)
-                wins = [1.0 if (r["status"] == "placed" and r["grasped"] > target - 2.0) else 0.0
-                        for r in results]
-                mean, std = bootstrap(wins, preset_obj.bootstrap_B, boot_seed)
-                cells.append({"arm": f"alpha={alpha:g}", "target_g": target,
-                              "percentile": p, "band_g": None,
-                              "metric": "grasped_above_target_minus_2g",
-                              "mean_pct": mean, "std_pct": std})
-                _tally(counts, imbalances, results)
-
-    elif name in ("TABLE2", "TABLE3"):
-        arm_key = "pregrasp" if name == "TABLE2" else "spines"
-        arm_values = preset_obj.flags[arm_key]
-        for arm_value in arm_values:
-            pregrasp = arm_value if name == "TABLE2" else preset_obj.flags["pregrasp"]
-            spines = arm_value if name == "TABLE3" else preset_obj.flags["spines"]
-            for drop in preset_obj.drops_g:
-                seeds = _episode_seeds(_cell_seed(preset_obj.seed, arm_value, drop),
-                                       preset_obj.episodes)
-                payloads = [(_random_grasp_episode,
-                             (sim_config, hs, rs, pregrasp, spines, drop,
-                              preset_obj.regrasp_margin_g, tuple(zpool)))
-                            for hs, rs in seeds]
-                results = _map_episodes(payloads, workers)
-                ok = [r for r in results if r["ok"]]
-                for band in preset_obj.bands:
-                    wins = [1.0 if (r["ok"] and r["err"] <= band) else 0.0 for r in results]
-                    mean, std = bootstrap(wins, preset_obj.bootstrap_B, boot_seed)
-                    cells.append({"arm": f"{arm_key}={'on' if arm_value else 'off'}",
-                                  "target_g": drop, "band_g": band,
-                                  "metric": "final_within_band_of_drop_target",
-                                  "mean_pct": mean, "std_pct": std})
-                rate = 100.0 * sum(1 for r in results if r["regrasps"] > 0) / len(results)
-                regrasp.append({"arm": f"{arm_key}={'on' if arm_value else 'off'}",
-                                "target_g": drop, "rate_pct": rate})
-                counts["episodes"] += len(results)
-                imbalances.extend(r["imbalance"] for r in results)
-
-    elif name == "TABLE4":
-        targets = _targets_from_model(model, preset_obj.targets)
-        for arm in preset_obj.flags["arms"]:
-            for p, target in zip(preset_obj.targets, targets):
-                seeds = _episode_seeds(_cell_seed(preset_obj.seed, arm["name"], p),
-                                       preset_obj.episodes)
-                payloads = [(_selection_episode,
-                             (sim_config, model, hs, rs, target, arm["alpha"],
-                              arm["pregrasp"], arm["spines"], arm["postgrasp"]))
-                            for hs, rs in seeds]
-                results = _map_episodes(payloads, workers)
-                finals = [r["final"] if r["status"] == "placed" else math.inf
-                          for r in results]
-                for band in preset_obj.bands:
-                    wins = [1.0 if abs(f - target) <= band else 0.0 for f in finals]
-                    mean, std = bootstrap(wins, preset_obj.bootstrap_B, boot_seed)
-                    cells.append({"arm": arm["name"], "target_g": target,
-                                  "percentile": p, "band_g": band,
-                                  "metric": "final_within_band",
-                                  "mean_pct": mean, "std_pct": std})
-                rate = 100.0 * sum(1 for r in results if r.get("retries", 0) > 0) / len(results)
-                regrasp.append({"arm": arm["name"], "target_g": target, "rate_pct": rate})
-                _tally(counts, imbalances, results)
-    else:
+    study = STUDIES.get(name)
+    if study is None:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    percentiles = preset_obj.targets
+    if percentiles is None:
+        cell_values = [(drop, drop) for drop in preset_obj.drops_g]
+    elif model is None:
+        raise ValueError(f"{name} needs a trained model")
+    else:
+        cell_values = list(zip(percentiles, _targets_from_model(model, percentiles)))
+
+    cells, regrasp, imbalances = [], [], []
+    counts = {"episodes": 0, "infeasible": 0, "failed_to_grasp": 0}
+    boot_seed = preset_obj.seed + 104729
+    for label, key, episode_kw in preset_obj.arms:
+        for part, value in cell_values:
+            seeds = _episode_seeds(_cell_seed(preset_obj.seed, key, part), preset_obj.episodes)
+            episode = partial(study.episode, sim_config, model, **episode_kw)
+            results = _map_episodes(episode, [(hs, rs, value) for hs, rs in seeds], workers)
+            for band in preset_obj.bands or (None,):
+                wins = [1.0 if study.success(r, value, band) else 0.0 for r in results]
+                mean, std = bootstrap(wins, BOOTSTRAP_B, boot_seed)
+                cells.append({"arm": label, "target_g": value,
+                              **({} if percentiles is None else {"percentile": part}),
+                              "band_g": band, "metric": study.metric,
+                              "mean_pct": mean, "std_pct": std})
+            if study.regrasp:
+                rate = 100.0 * sum(1 for r in results if r["retries"] > 0) / len(results)
+                regrasp.append({"arm": label, "target_g": value, "rate_pct": rate})
+            counts["episodes"] += len(results)
+            for status in ("infeasible", "failed_to_grasp"):
+                counts[status] += sum(1 for r in results if r.get("status") == status)
+            imbalances.extend(r["imbalance"] for r in results)
 
     ledger = {
         "episodes": counts["episodes"],
@@ -395,27 +366,14 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
                            ledger=ledger, counts=counts)
 
 
-def _run_episode_payload(sim_cfg, model, heap_seed, rng_seed, target, alpha, trace):
-    heap = init_heap(sim_cfg, heap_seed)
-    rng = np.random.default_rng(rng_seed)
-    cfg = EpisodeConfig.default(sim_cfg, trace=trace)
-    before = total_mass(heap)
-    r = pipeline.run_inference_episode(model, heap, target, alpha, cfg, rng)
-    imbalance = before - total_mass(heap) - r.placed_g - r.discarded_g
-    return {"status": r.status, "grasped": r.grasped_initial, "final": r.final_mass,
-            "retries": r.retries, "imbalance": imbalance, "events": r.events,
-            "chosen": r.chosen, "predicted": r.predicted}
-
-
 def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: float,
                       alpha: float, episodes: int, seed: int, workers: int = 1,
                       trace: bool = True) -> tuple:
     """Independent seeded episodes at one (target, alpha); returns the
     summary dict and JSON-lines trace records."""
     seeds = _episode_seeds(seed, episodes)
-    payloads = [(_run_episode_payload, (sim_config, model, hs, rs, target, alpha, trace))
-                for hs, rs in seeds]
-    results = _map_episodes(payloads, workers)
+    episode = partial(_selection_episode, sim_config, model, alpha=alpha, trace=trace)
+    results = _map_episodes(episode, [(hs, rs, target) for hs, rs in seeds], workers)
     finals = [r["final"] if r["status"] == "placed" else math.inf for r in results]
     summary = {
         "target_g": target,
@@ -439,10 +397,7 @@ def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: flo
         },
         "seeds": {"root": seed},
     }
-    traces = []
-    for i, r in enumerate(results):
-        for event in r["events"]:
-            traces.append({"episode": i, **event})
+    traces = [{"episode": i, **event} for i, r in enumerate(results) for event in r["events"]]
     return summary, traces
 
 
@@ -452,9 +407,3 @@ def _cell_seed(root: int, *parts) -> int:
         h = zlib.crc32(str(part).encode(), h)
     return (root * 2 ** 32 + h) % (2 ** 63)
 
-
-def _tally(counts, imbalances, results):
-    counts["episodes"] += len(results)
-    counts["infeasible"] += sum(1 for r in results if r["status"] == "infeasible")
-    counts["failed_to_grasp"] += sum(1 for r in results if r["status"] == "failed_to_grasp")
-    imbalances.extend(r["imbalance"] for r in results)

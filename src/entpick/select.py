@@ -181,10 +181,10 @@ def _pick(target, alpha, mu, sigma):
 
 def _score_lattice(model, heap, config, clearance_mm):
     """The enumerated candidates with their flat (mu, sigma) arrays, in
-    enumeration order; the arrays are None when there are no candidates."""
+    enumeration order; all three are empty when there are no candidates."""
     cands = enumerate_candidates(heap.tray_mm, config)
     if not cands:
-        return cands, None, None
+        return cands, np.empty(0), np.empty(0)
     xy_points = list(dict.fromkeys((x, y) for x, y, _ in cands))
     mu, sigma = _score_grid(model, heap, xy_points, config.z_candidates_cm, clearance_mm)
     return cands, mu.ravel(), sigma.ravel()
@@ -195,8 +195,6 @@ def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfi
     """Best grasp point under the uncertainty-penalised criterion, or None
     when no candidate is feasible."""
     cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
-    if not cands:
-        return None
     idx, _ = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
     if idx is None:
         return None
@@ -210,8 +208,6 @@ def score_all(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
               clearance_mm: float = DEFAULT_CLEARANCE_MM) -> list:
     """Every enumerated candidate as a scored Candidate record."""
     cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
-    if not cands:
-        return []
     _, feasible = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
     return [Candidate(x, y, z, float(flat_mu[i]), float(flat_sigma[i]),
                       bool(feasible[i]),
@@ -222,19 +218,18 @@ def score_all(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
 def selection_report(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
                      clearance_mm: float = DEFAULT_CLEARANCE_MM) -> dict:
     """Every candidate with its score plus the winner, for inspection."""
-    scored = score_all(model, heap, config, clearance_mm)
-    flat_mu = np.array([c.mu_g for c in scored])
-    flat_sigma = np.array([c.sigma_g for c in scored])
-    idx, _ = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
-    cands = [(c.x, c.y, c.z_cm) for c in scored]
+    cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
+    idx, feasible = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
+    scores = np.abs(config.target_mass_g - flat_mu) + flat_sigma
     rows = []
-    for c in scored:
+    for (x, y, z), mu, sigma, ok, score in zip(cands, flat_mu.tolist(), flat_sigma.tolist(),
+                                               feasible.tolist(), scores.tolist()):
         rows.append({
-            "x": c.x, "y": c.y, "z_cm": c.z_cm,
-            "mu_g": c.mu_g,
-            "sigma_g": c.sigma_g if math.isfinite(c.sigma_g) else "inf",
-            "feasible": c.feasible,
-            "score": c.score if math.isfinite(c.score) else "inf",
+            "x": x, "y": y, "z_cm": z,
+            "mu_g": mu,
+            "sigma_g": sigma if math.isfinite(sigma) else "inf",
+            "feasible": ok,
+            "score": score if math.isfinite(score) else "inf",
         })
     winner = None
     if idx is not None:

@@ -345,3 +345,22 @@ def test_dataset_rejects_non_finite_depth_or_mass(workdir, dataset_path, field, 
     path.write_text(with_row(dataset_path, 2, **{field: value}))
     with pytest.raises(ValueError, match="line 3.*non-finite"):
         mdn.Dataset.from_jsonl(path)
+
+
+# ---------------------------------------------------------------- experiment
+
+@pytest.mark.parametrize("argv, needle", [
+    (("TABLE3", "--episodes", 10), "at least 30 episodes"),
+    (("TABLE3", "--episodes", 0), "at least 30 episodes"),
+    (("TABLE2", "--episodes", -5), "at least 30 episodes"),
+    (("TABLE1", "--episodes", 30), "TABLE1 needs a trained model"),
+    (("TABLE4", "--episodes", 30), "TABLE4 needs a trained model"),
+    (("HISTOGRAM", "--n", 1), "--n must be at least 2"),
+    (("HISTOGRAM", "--n", 0), "--n must be at least 2"),
+])
+def test_cli_experiment_bad_input_exit_2(workdir, argv, needle):
+    out = workdir / "never_experiment.json"
+    code, err = run_cli("experiment", *argv, "--out", out)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,8 @@ def test_preset_names_and_validation():
         ex.ExperimentPreset("X", {}, episodes=10)
     with pytest.raises(ValueError):
         ex.ExperimentPreset("X", {}, targets=(0, 50))
+    with pytest.raises(ValueError, match="drops_g"):
+        ex.ExperimentPreset("X", (), targets=None)
 
 
 def test_run_experiment_requires_model_for_selection_tables(sim_config):
@@ -165,3 +168,50 @@ def test_workers_do_not_change_results(sim_config):
     a = ex.run_experiment(ex.preset("TABLE3", episodes=30, seed=6), sim_config, workers=1)
     b = ex.run_experiment(ex.preset("TABLE3", episodes=30, seed=6), sim_config, workers=2)
     assert a.to_dict() == b.to_dict()
+
+
+# ---------------------------------------------------------------- report contract
+
+def test_table1_single_pick_is_never_failed_to_grasp(sim_config, trained_model, monkeypatch):
+    grasped = []
+    real = ex.execute_grasp
+
+    def spy(*args, **kwargs):
+        outcome = real(*args, **kwargs)
+        grasped.append(outcome.grasped_mass)
+        return outcome
+
+    monkeypatch.setattr(ex, "execute_grasp", spy)
+    p = dataclasses.replace(ex.preset("TABLE1", episodes=30, seed=5), targets=(50,))
+    report = ex.run_experiment(p, sim_config, trained_model)
+    target = report.cells[0]["target_g"]
+    assert report.regrasp == []
+    # one grasp per feasible episode, never released and retried
+    assert len(grasped) == report.counts["episodes"] - report.counts["infeasible"]
+    assert any(g <= target - 2.0 for g in grasped)
+    assert report.counts["failed_to_grasp"] == 0
+    assert [c["arm"] for c in report.cells] == ["alpha=0", "alpha=1"]
+    for c in report.cells:
+        assert list(c) == ["arm", "target_g", "percentile", "band_g", "metric",
+                           "mean_pct", "std_pct"]
+        assert c["percentile"] == 50 and c["band_g"] is None
+
+
+@pytest.mark.parametrize("name, kwargs", [("TABLE2", {"drops_g": (10.0,)}), ("TABLE3", {})])
+def test_random_grasp_reports_count_no_failures(sim_config, name, kwargs):
+    p = ex.preset(name, episodes=30, seed=5, **kwargs)
+    report = ex.run_experiment(p, sim_config)
+    assert report.counts["infeasible"] == report.counts["failed_to_grasp"] == 0
+    assert report.counts["episodes"] == 2 * len(p.drops_g) * 30
+    assert [r["target_g"] for r in report.regrasp] == list(p.drops_g) * 2
+    for c in report.cells:
+        assert list(c) == ["arm", "target_g", "band_g", "metric", "mean_pct", "std_pct"]
+        assert c["band_g"] in p.bands
+
+
+def test_workers_do_not_change_selection_results(sim_config, trained_model):
+    p = dataclasses.replace(ex.preset("TABLE4", episodes=30, seed=6), targets=(50,))
+    a = ex.run_experiment(p, sim_config, trained_model, workers=1)
+    b = ex.run_experiment(p, sim_config, trained_model, workers=2)
+    assert a.to_dict() == b.to_dict()
+    assert [c["percentile"] for c in a.cells] == [50] * 6

@@ -232,6 +232,31 @@ def test_selection_report_shape(heap_and_model):
         assert report["candidates"][w["index"]]["feasible"]
 
 
+# all feasible; some feasible, where the best score overall is infeasible;
+# none feasible; an empty lattice
+@pytest.mark.parametrize("target, alpha, margin", [
+    (2.0, 0.5, None), (19.5, 0.0, None), (15.0, 0.5, None), (2.0, 0.5, 10_000)])
+def test_selection_report_agrees_with_score_all_and_select(heap_and_model, target, alpha,
+                                                           margin):
+    cfg, heap, model = heap_and_model
+    extra = {} if margin is None else {"margin_px": margin}
+    scfg = SelectionConfig(target_mass_g=target, alpha=alpha, stride_px=60, **extra)
+    report = select.selection_report(model, heap, scfg)
+    scored = select.score_all(model, heap, scfg)
+    assert report["n_candidates"] == len(scored)
+    assert report["candidates"] == [
+        {"x": c.x, "y": c.y, "z_cm": c.z_cm, "mu_g": c.mu_g,
+         "sigma_g": c.sigma_g if math.isfinite(c.sigma_g) else "inf",
+         "feasible": c.feasible, "score": c.score if math.isfinite(c.score) else "inf"}
+        for c in scored]
+    sel = select.select_grasp(model, heap, scfg)
+    if sel is None:
+        assert report["winner"] is None
+    else:
+        assert report["winner"] == {"index": sel.index, "x": sel.x, "y": sel.y,
+                                    "z_cm": sel.z_cm, "mu_g": sel.mu_g, "sigma_g": sel.sigma_g}
+
+
 # ---------------------------------------------------------------- medians on mutated heaps
 
 def partition_medians(units, ix, iy, shape):
