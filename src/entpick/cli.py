@@ -87,6 +87,21 @@ def _load_model(path) -> mdn.ModelParams:
         return mdn.load_checkpoint(path)
 
 
+def _check_flags(args) -> None:
+    """Reject a numeric flag outside its range, naming the flag."""
+    try:
+        if getattr(args, "seed", None) is not None:
+            sim.check_int("--seed", args.seed, 0)
+        if hasattr(args, "workers"):
+            sim.check_int("--workers", args.workers, 1)
+        if hasattr(args, "target"):
+            sim.check_number("--target", args.target, 0, lo_open=True)
+        if hasattr(args, "alpha"):
+            sim.check_number("--alpha", args.alpha, 0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 @contextlib.contextmanager
 def _bad_input(what):
     """Turn a rejected input file into a usage error (exit 2, one line)."""
@@ -121,8 +136,7 @@ def cmd_train(args) -> int:
                 _bad_input(f"model config {args.config}"):
             mcfg = mdn.ModelConfig.from_dict(json.load(f))
     if args.seed is not None:
-        with _bad_input("--seed"):
-            mcfg = dataclasses.replace(mcfg, seed=args.seed)
+        mcfg = dataclasses.replace(mcfg, seed=args.seed)
     _require_file(args.dataset, "dataset")
     with _bad_input("dataset"):
         dataset = mdn.Dataset.from_jsonl(args.dataset)
@@ -281,6 +295,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except UsageError as exc:
         _print_error(exc)

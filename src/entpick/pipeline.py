@@ -83,7 +83,6 @@ class EpisodeResult:
     success_band_2g: bool
     success_band_3g: bool
     success_band_4g: bool
-    wall_steps: int
     events: list = field(default_factory=list)
 
 
@@ -206,13 +205,12 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
 def _finish(events, chosen, predicted, grasped, retries, trace, final, placed,
             discarded, status, target, cfg):
     err = abs(final - target)
-    wall_steps = sum(1 for e in events if e["event"] != "scale")
     return EpisodeResult(
         chosen=chosen, predicted=predicted, grasped_initial=grasped,
         retries=retries, postgrasp_trace=trace, final_mass=final,
         placed_g=placed, discarded_g=discarded, status=status,
         success_band_2g=err <= 2.0, success_band_3g=err <= 3.0,
-        success_band_4g=err <= 4.0, wall_steps=wall_steps,
+        success_band_4g=err <= 4.0,
         events=events if cfg.trace else [])
 
 

@@ -42,12 +42,10 @@ PATCH_MARGIN = PATCH_SIDE // 2
 HEIGHT_QUANTUM_MM = 0.1
 CELL_MASS_PER_MM = 1e-3    # grams per mm of height in one 1 mm^2 column, per unit rho
 
-# insertion-depth pools (cm): deeper pool for cabbage-like material,
-# shallower one for stiff material the gripper cannot push into.
+# insertion depths (cm) for cabbage-like material: the pool random grasps
+# draw from, and the finer list selection scores
 Z_POOL_DEEP = (2.0, 3.0, 4.0)
-Z_POOL_SHALLOW = (1.0, 1.5, 2.0)
 Z_INFER_DEEP = (2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0)
-Z_INFER_SHALLOW = (1.0, 1.25, 1.5, 1.75, 2.0)
 
 
 def quantize_height(h):
@@ -380,11 +378,13 @@ def read_scale(state: ScaleState, t_s: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _smooth_fields(shape, corr_mms, rng):
-    """Standardised smooth random fields on a mm grid: coarse noise, blurred
-    at the given correlation lengths, normalised on the coarse grid, then
-    bilinearly upsampled (at 2 mm and pixel-doubled, which is far below the
-    correlation lengths in use). One field per entry of corr_mms, all drawn
-    from the one generator stream."""
+    """Standardised smooth random fields at half the resolution of a mm grid
+    of ``shape``: coarse noise on an 8 mm grid, blurred at the given
+    correlation lengths, normalised on the coarse grid, then bilinearly
+    interpolated at 2 mm, which is far below the correlation lengths in
+    use. Returns float64 fields of shape ((W + 1) // 2, (D + 1) // 2), one
+    per entry of corr_mms, all drawn from the one generator stream;
+    ``_pixel_double`` takes a field to the mm grid."""
     step = 8
     cw = shape[0] // step + 2
     ch = shape[1] // step + 2
@@ -397,28 +397,48 @@ def _smooth_fields(shape, corr_mms, rng):
     sd = coarse.std(axis=(1, 2), keepdims=True)
     coarse /= np.where(sd > 0, sd, 1.0)
 
-    half = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
-    xs = (np.arange(half[0], dtype=np.float32) * 2.0 / step)
-    ys = (np.arange(half[1], dtype=np.float32) * 2.0 / step)
-    x0 = xs.astype(int)
-    y0 = ys.astype(int)
-    fx = (xs - x0)[None, :, None]
-    fy = (ys - y0)[None, None, :]
-    flat = coarse.reshape(n, -1)
-    i00 = (x0[:, None] * ch + y0[None, :]).ravel()
-    a = flat[:, i00].reshape(n, *half)
-    b = flat[:, i00 + ch].reshape(n, *half)
-    c = flat[:, i00 + 1].reshape(n, *half)
-    d = flat[:, i00 + ch + 1].reshape(n, *half)
-    out = (a * ((1 - fx) * (1 - fy)) + b * (fx * (1 - fy))
-           + c * ((1 - fx) * fy) + d * (fx * fy))
-    full = out.repeat(2, axis=1).repeat(2, axis=2)
-    return full[:, :shape[0], :shape[1]]
+    # Half-res node i lies at coarse coordinate i / 4: its corners are coarse
+    # nodes i // 4 and i // 4 + 1, which are nodes i and i + 4 of the coarse
+    # grid repeated 4x. Products and sums are float64 (the weights are
+    # float32 minus int64), summed in the order ((a + b) + c) + d, so every
+    # heap keeps the bits pinned in tests/test_sim_heap.py; the float32 ->
+    # float64 cast is exact.
+    h0, h1 = (shape[0] + 1) // 2, (shape[1] + 1) // 2
+    up = coarse.astype(np.float64).repeat(4, axis=1).repeat(4, axis=2)
+    a = up[:, :h0, :h1]
+    b = up[:, 4:4 + h0, :h1]
+    c = up[:, :h0, 4:4 + h1]
+    d = up[:, 4:4 + h0, 4:4 + h1]
+    xs = (np.arange(h0, dtype=np.float32) * 2.0 / step)
+    ys = (np.arange(h1, dtype=np.float32) * 2.0 / step)
+    fx = (xs - xs.astype(int))[None, :, None]
+    fy = (ys - ys.astype(int))[None, None, :]
+    out = a * ((1 - fx) * (1 - fy))
+    term = np.empty_like(out)
+    out += np.multiply(b, fx * (1 - fy), out=term)
+    out += np.multiply(c, (1 - fx) * fy, out=term)
+    out += np.multiply(d, fx * fy, out=term)
+    return out
+
+
+def _pixel_double(field, shape):
+    """A half-resolution field on the mm grid of ``shape``: each value
+    covers a 2 x 2 block, the last row and column cut off on odd sides."""
+    full = np.empty(shape)
+    for i in (0, 1):
+        for j in (0, 1):
+            full[i::2, j::2] = field[:(shape[0] - i + 1) // 2, :(shape[1] - j + 1) // 2]
+    return full
 
 
 def init_heap(config: SimConfig, seed: int) -> HeapState:
     """Build a filled tray from seeded smooth noise. Identical (config, seed)
-    pairs produce bitwise-identical heaps."""
+    pairs produce bitwise-identical heaps.
+
+    Every step up to the craters is per element, so it runs on the half
+    resolution fields and gives the same bits as on the mm grid. Only the
+    craters (whose window means sum full-resolution values) and the
+    quantisation run on the mm grid."""
     w, d, depth = config.tray_mm
     rng = np.random.default_rng(seed)
     shape = (int(w), int(d))
@@ -430,6 +450,8 @@ def init_heap(config: SimConfig, seed: int) -> HeapState:
         # footprint-shaped craters, so model training and later picking see
         # the same kind of surface throughout a session
         hfield -= config.noise.wear_mm * np.maximum(f_wear - 0.7, 0.0)
+    hfield = _pixel_double(hfield, shape)
+    if config.noise.amp_mm > 0:
         fw, fl = config.footprint_mm
         hw = int(fw / 2) + 1
         hl = int(fl / 2) + 1
@@ -441,14 +463,18 @@ def init_heap(config: SimConfig, seed: int) -> HeapState:
             dent = float(rng.uniform(d_lo, d_hi))
             win = hfield[cx - hw:cx + hw, cy - hl:cy + hl]
             np.minimum(win, win.mean() - dent, out=win)
-    heights = quantize_height(np.clip(hfield, 0.0, depth))
+    # quantize_height, in place
+    np.clip(hfield, 0.0, depth, out=hfield)
+    hfield *= 10.0
+    np.round(hfield, out=hfield)
+    hfield /= 10.0
 
     lo, hi = config.lambda_range
-    lam = lo + (hi - lo) * ndtr(f_lam)
+    lam = _pixel_double(lo + (hi - lo) * ndtr(f_lam), shape)
     rlo, rhi = config.rho_range
-    rho = rlo + (rhi - rlo) * ndtr(f_rho)
+    rho = _pixel_double(rlo + (rhi - rlo) * ndtr(f_rho), shape)
 
-    heap = HeapState(heights, lam, rho, (int(w), int(d), int(depth)), int(seed))
+    heap = HeapState(hfield, lam, rho, (int(w), int(d), int(depth)), int(seed))
     heap.validate()
     return heap
 
@@ -461,12 +487,6 @@ def total_mass(heap: HeapState) -> float:
 # ---------------------------------------------------------------------------
 # observation
 # ---------------------------------------------------------------------------
-
-def median_normalize(heights):
-    """Subtract the median so the patch is relative to its own surface."""
-    arr = np.asarray(heights, dtype=float)
-    return arr - np.median(arr)
-
 
 def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
     """Exact medians of rectangular windows of an integer grid.

@@ -364,3 +364,25 @@ def test_cli_experiment_bad_input_exit_2(workdir, argv, needle):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- numeric flags
+
+@pytest.mark.parametrize("argv, needle", [
+    (("collect", "--seed", -1), "--seed must be an integer >= 0"),
+    (("inspect", "{model}", "--target", 20, "--seed", -1), "--seed must be an integer >= 0"),
+    (("run", "{model}", "--target", 20, "--seed", -1), "--seed must be an integer >= 0"),
+    (("experiment", "HISTOGRAM", "--n", 4, "--seed", -1), "--seed must be an integer >= 0"),
+    (("run", "{model}", "--target", -5), "--target must be a number > 0"),
+    (("run", "{model}", "--target", 20, "--alpha", -1), "--alpha must be a number >= 0"),
+    (("run", "{model}", "--target", 20, "--workers", -3), "--workers must be an integer >= 1"),
+    (("experiment", "TABLE2", "--episodes", 30, "--workers", -3),
+     "--workers must be an integer >= 1"),
+])
+def test_cli_numeric_flag_out_of_range_exit_2(workdir, checkpoint_doc, argv, needle):
+    model = write_json(workdir / "flags_model.json", checkpoint_doc)
+    out = workdir / "never_flags"
+    code, err = run_cli(*(str(a).format(model=model) for a in argv), "--out", out)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+    assert not list(workdir.glob("never_flags*"))

@@ -31,10 +31,6 @@ def test_lattice_count_hand_derived():
     assert len(cands) == 21 * 14 * 9 == 2646
 
 
-def test_shallow_inference_z_list():
-    assert list(sim.Z_INFER_SHALLOW) == [1.0, 1.25, 1.5, 1.75, 2.0]
-
-
 def test_stride_wider_than_interior_centres_single_point():
     cfg = SelectionConfig(target_mass_g=20.0, stride_px=500, margin_px=80,
                           z_candidates_cm=(2.0,))
