@@ -48,7 +48,7 @@ def main():
         x = int(rng.integers(80, 345))
         y = int(rng.integers(80, 229))
         z = float(rng.choice([2.0, 3.0, 4.0]))
-        if sim.local_median_height(heap, x, y) - z * 10 < cfg.clearance_mm:
+        if not sim.clears_floor(sim.local_median_height(heap, x, y), z, cfg.clearance_mm):
             continue
         mu, _ = select.score_candidate(model, heap, x, y, z)
         sim.apply_pregrasp(heap, x, y, z, rng, cfg)

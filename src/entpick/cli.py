@@ -98,6 +98,8 @@ def _check_flags(args) -> None:
             sim.check_number("--target", args.target, 0, lo_open=True)
         if hasattr(args, "alpha"):
             sim.check_number("--alpha", args.alpha, 0)
+        for z in getattr(args, "zpool", ()):
+            sim.check_number("--zpool", z, 0, lo_open=True)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -119,7 +121,10 @@ def cmd_collect(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     cfg = _load_sim_config(args)
-    dataset = pipeline.run_collection(cfg, args.n, zpool=tuple(args.zpool), seed=args.seed)
+    try:
+        dataset = pipeline.run_collection(cfg, args.n, zpool=tuple(args.zpool), seed=args.seed)
+    except RuntimeError as exc:
+        raise UsageError(f"--zpool {' '.join(f'{z:g}' for z in args.zpool)}: {exc}") from exc
     dataset.to_jsonl(args.out)
     write_manifest(args.out, "collect", args, [str(args.out)], {"root": args.seed})
     n_train = len(dataset.train_rows())
@@ -300,7 +305,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _print_error(exc)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         log.debug("command failed", exc_info=True)
         _print_error(exc)
         return 1

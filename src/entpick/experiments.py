@@ -83,7 +83,7 @@ _PRESETS = {
                    drops_g=(3.0, 4.0, 5.0, 10.0, 15.0)),
     "TABLE3": dict(arms=_switch("spines", pregrasp=True), targets=None,
                    bands=(2.0, 3.0, 4.0, 5.0), drops_g=(10.0,)),
-    # pre-grasp and spines stay at their EpisodeConfig default, on, in both arms
+    # the inference episode always pre-grasps and always uses the spines
     "TABLE4": dict(arms=(("baseline", "baseline", {"alpha": 0.0, "use_postgrasp": False}),
                          ("ours", "ours", {"alpha": 1.0}))),
 }

@@ -26,8 +26,8 @@ import numpy as np
 from . import mdn
 from .select import SelectionConfig, select_grasp
 from .sim import (PATCH_MARGIN, GripperLoad, HeapState, PostgraspParams,
-                  ScaleState, SimConfig, Z_POOL_DEEP, Z_INFER_DEEP,
-                  apply_pregrasp, execute_grasp, init_heap, local_median_height,
+                  ScaleState, SimConfig, Z_POOL_DEEP, apply_pregrasp,
+                  clears_floor, execute_grasp, init_heap, local_median_height,
                   make_gripper_load, observe_patch, postgrasp_step, read_scale,
                   release_mass)
 
@@ -53,14 +53,12 @@ class ControllerConfig:
 
 @dataclass
 class EpisodeConfig:
+    """An inference episode. Selection uses the default SelectionConfig
+    lattice; pre-grasping and the spines are always on."""
+
     sim: SimConfig
     controller: ControllerConfig
-    stride_px: int = 15
-    margin_px: int = PATCH_MARGIN
-    z_candidates_cm: tuple = Z_INFER_DEEP
-    use_pregrasp: bool = True
     use_postgrasp: bool = True
-    spines: bool = True
     retry_cap: int = 10
     trace: bool = False
 
@@ -81,8 +79,6 @@ class EpisodeResult:
     discarded_g: float
     status: str                   # placed | infeasible | failed_to_grasp
     success_band_2g: bool
-    success_band_3g: bool
-    success_band_4g: bool
     events: list = field(default_factory=list)
 
 
@@ -139,12 +135,9 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
     chosen = None
     predicted = None
     grasped = 0.0
+    sel_cfg = SelectionConfig(target_mass_g=target, alpha=alpha)
 
     while True:
-        sel_cfg = SelectionConfig(target_mass_g=target, alpha=alpha,
-                                  stride_px=cfg.stride_px,
-                                  z_candidates_cm=cfg.z_candidates_cm,
-                                  margin_px=cfg.margin_px)
         sel = select_grasp(model, heap, sel_cfg, clearance_mm=cfg.sim.clearance_mm)
         events.append({"event": "observe"})
         if sel is None:
@@ -155,9 +148,8 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
         events.append({"event": "select", "x": sel.x, "y": sel.y, "z_cm": sel.z_cm,
                        "mu_g": sel.mu_g, "sigma_g": sel.sigma_g})
 
-        if cfg.use_pregrasp:
-            apply_pregrasp(heap, sel.x, sel.y, sel.z_cm, rng, cfg.sim)
-            events.append({"event": "pregrasp", "x": sel.x, "y": sel.y})
+        apply_pregrasp(heap, sel.x, sel.y, sel.z_cm, rng, cfg.sim)
+        events.append({"event": "pregrasp", "x": sel.x, "y": sel.y})
 
         outcome = execute_grasp(heap, sel.x, sel.y, sel.z_cm, rng, cfg.sim)
         grasped = outcome.grasped_mass
@@ -178,7 +170,7 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
     discarded = 0.0
     final = grasped
     if cfg.use_postgrasp and grasped >= target + ctl.stop_band_g:
-        load = make_gripper_load(outcome, cfg.sim.postgrasp, cfg.spines)
+        load = make_gripper_load(outcome, cfg.sim.postgrasp)
         scale = ScaleState(params=cfg.sim.scale)
         final, trace = run_postgrasp(load, target, scale, ctl, rng, cfg.sim.postgrasp)
         discarded = grasped - final
@@ -193,9 +185,6 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
                     v, dropped = payload
                     events.append({"event": "poststep", "t_s": t, "v": v,
                                    "dropped_g": dropped})
-        else:
-            events.extend({"event": "poststep", "t_s": t, "v": v, "dropped_g": dropped}
-                          for t, v, dropped in trace)
 
     events.append({"event": "place", "placed_g": final})
     return _finish(events, chosen, predicted, grasped, retries, trace,
@@ -209,8 +198,7 @@ def _finish(events, chosen, predicted, grasped, retries, trace, final, placed,
         chosen=chosen, predicted=predicted, grasped_initial=grasped,
         retries=retries, postgrasp_trace=trace, final_mass=final,
         placed_g=placed, discarded_g=discarded, status=status,
-        success_band_2g=err <= 2.0, success_band_3g=err <= 3.0,
-        success_band_4g=err <= 4.0,
+        success_band_2g=err <= 2.0,
         events=events if cfg.trace else [])
 
 
@@ -227,10 +215,11 @@ def _random_grasp_point(heap, zpool, rng, sim_config, max_tries=200):
         x = int(rng.integers(m, w - m + 1))
         y = int(rng.integers(m, d - m + 1))
         med = local_median_height(heap, x, y)
-        valid = [z for z in zpool if med - z * 10.0 >= sim_config.clearance_mm]
+        valid = [z for z in zpool if clears_floor(med, z, sim_config.clearance_mm)]
         if valid:
             return x, y, valid[int(rng.integers(len(valid)))]
-    raise RuntimeError("tray too depleted to place the gripper safely")
+    raise RuntimeError(f"no pool depth clears the tray floor at {max_tries} random points; "
+                       "tray too depleted to place the gripper safely")
 
 
 def run_collection(sim_config: SimConfig, n: int, zpool=Z_POOL_DEEP,

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mdn
-from .sim import (PATCH_MARGIN, HeapState, Z_INFER_DEEP, batch_unit_medians,
-                  height_units, local_median_height, observe_patch)
-
-DEFAULT_CLEARANCE_MM = 5.0
+from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP,
+                  batch_unit_medians, clears_floor, height_units,
+                  local_median_height, observe_patch)
 
 
 @dataclass
@@ -42,17 +41,6 @@ class SelectionConfig:
         if self.margin_px < PATCH_MARGIN:
             raise ValueError(f"margin must be at least {PATCH_MARGIN} px so patches fit")
         self.z_candidates_cm = zs
-
-
-@dataclass
-class Candidate:
-    x: int
-    y: int
-    z_cm: float
-    mu_g: float
-    sigma_g: float
-    feasible: bool
-    score: float
 
 
 @dataclass
@@ -95,11 +83,10 @@ def _reduce_mixture(model, pi, mu, sigma):
 
 
 def score_candidate(model: mdn.ModelParams, heap: HeapState, x: int, y: int,
-                    z_cm: float, clearance_mm: float = DEFAULT_CLEARANCE_MM) -> tuple:
-    """(mu, sigma) for one candidate: observe, forward, reduce. Floor-risk
-    candidates (z deeper than the local median minus clearance) are masked
-    to (0, inf)."""
-    if local_median_height(heap, x, y) - z_cm * 10.0 < clearance_mm:
+                    z_cm: float, clearance_mm: float = SimConfig.clearance_mm) -> tuple:
+    """(mu, sigma) for one candidate: observe, forward, reduce. Candidates
+    that fail ``clears_floor`` are masked to (0, inf)."""
+    if not clears_floor(local_median_height(heap, x, y), z_cm, clearance_mm):
         return 0.0, math.inf
     patch = observe_patch(heap, x, y)
     mix = mdn.mdn_forward(model, mdn.PatchObservation(patch.heights, z_cm))
@@ -158,10 +145,8 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     mu = mu.reshape(n_xy, n_z)
     sigma = sigma.reshape(n_xy, n_z)
 
-    collide = (medians[:, None] - z_arr[None, :] * 10.0) < clearance_mm
-    mu = np.where(collide, 0.0, mu)
-    sigma = np.where(collide, math.inf, sigma)
-    return mu, sigma
+    clear = clears_floor(medians[:, None], z_arr[None, :], clearance_mm)
+    return np.where(clear, mu, 0.0), np.where(clear, sigma, math.inf)
 
 
 def _pick(target, alpha, mu, sigma):
@@ -191,7 +176,7 @@ def _score_lattice(model, heap, config, clearance_mm):
 
 
 def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
-                 clearance_mm: float = DEFAULT_CLEARANCE_MM):
+                 clearance_mm: float = SimConfig.clearance_mm):
     """Best grasp point under the uncertainty-penalised criterion, or None
     when no candidate is feasible."""
     cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
@@ -204,19 +189,8 @@ def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfi
                          idx)
 
 
-def score_all(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
-              clearance_mm: float = DEFAULT_CLEARANCE_MM) -> list:
-    """Every enumerated candidate as a scored Candidate record."""
-    cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
-    _, feasible = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
-    return [Candidate(x, y, z, float(flat_mu[i]), float(flat_sigma[i]),
-                      bool(feasible[i]),
-                      float(abs(config.target_mass_g - flat_mu[i]) + flat_sigma[i]))
-            for i, (x, y, z) in enumerate(cands)]
-
-
 def selection_report(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
-                     clearance_mm: float = DEFAULT_CLEARANCE_MM) -> dict:
+                     clearance_mm: float = SimConfig.clearance_mm) -> dict:
     """Every candidate with its score plus the winner, for inspection."""
     cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
     idx, feasible = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)

@@ -301,10 +301,6 @@ class PatchObservation:
     heights: np.ndarray
     insertion_depth: float | None = None
 
-    def validate(self):
-        if self.insertion_depth is not None and self.insertion_depth <= 0:
-            raise ValueError("insertion depth must be positive")
-
 
 @dataclass
 class GraspOutcome:
@@ -596,9 +592,32 @@ def _extent(center: float, length_mm: float, n_cells: int):
     return i0, i1, w
 
 
+def clears_floor(median_mm, z_cm, clearance_mm):
+    """Whether a gripper inserted z_cm below a local median surface of
+    median_mm keeps at least clearance_mm above the tray floor. The one
+    floor rule of every grasp stage; exact equality clears. Broadcasts over
+    arrays."""
+    return median_mm - z_cm * 10.0 >= clearance_mm
+
+
+def _box(x, y, r, w, d):
+    """Slices of the square of half-side r around (x, y), clamped to a
+    w x d grid."""
+    return (slice(max(0, int(x - r)), min(w, int(x + r) + 1)),
+            slice(max(0, int(y - r)), min(d, int(y + r) + 1)))
+
+
+def _disk(x, y, r, w, d):
+    """``_box`` plus the mask of its cells within distance r of (x, y)."""
+    sl_x, sl_y = _box(x, y, r, w, d)
+    gx = np.arange(sl_x.start, sl_x.stop, dtype=float)[:, None]
+    gy = np.arange(sl_y.start, sl_y.stop, dtype=float)[None, :]
+    return sl_x, sl_y, (gx - x) ** 2 + (gy - y) ** 2 <= r ** 2
+
+
 def _check_floor_clearance(heap: HeapState, x, y, z_cm, clearance_mm):
     med = local_median_height(heap, x, y)
-    if med - z_cm * 10.0 < clearance_mm:
+    if not clears_floor(med, z_cm, clearance_mm):
         raise ValueError(
             f"insertion depth {z_cm} cm would strike the tray floor "
             f"(local median {med:.1f} mm, clearance {clearance_mm} mm)")
@@ -691,15 +710,7 @@ def execute_grasp(heap: HeapState, x: int, y: int, z_cm: float,
         cy = y + float(rng.uniform(-reach, reach))
         cx = min(max(cx, 0.0), w - 1.0)
         cy = min(max(cy, 0.0), d - 1.0)
-        jx0 = max(0, int(cx - cp.r_mm))
-        jx1 = min(w, int(cx + cp.r_mm) + 1)
-        jy0 = max(0, int(cy - cp.r_mm))
-        jy1 = min(d, int(cy + cp.r_mm) + 1)
-        gx = np.arange(jx0, jx1, dtype=float)[:, None]
-        gy = np.arange(jy0, jy1, dtype=float)[None, :]
-        disk = (gx - cx) ** 2 + (gy - cy) ** 2 <= cp.r_mm ** 2
-        jsl_x = slice(jx0, jx1)
-        jsl_y = slice(jy0, jy1)
+        jsl_x, jsl_y, disk = _disk(cx, cy, cp.r_mm, w, d)
         region_h = heap.heights[jsl_x, jsl_y]
         avail = float(np.sum(heap.bulk_density[jsl_x, jsl_y] * region_h * disk) * CELL_MASS_PER_MM)
         if avail <= 0:
@@ -712,25 +723,12 @@ def execute_grasp(heap: HeapState, x: int, y: int, z_cm: float,
     # the grasp rips out the loosened surface; what it exposes is fresh,
     # fully entangled, settled material again
     r_reset = max(config.pregrasp.r_mm, math.hypot(fw, fl) / 2.0 + cp.r_mm) + 2.0
-    kx0 = max(0, int(x - r_reset))
-    kx1 = min(w, int(x + r_reset) + 1)
-    ky0 = max(0, int(y - r_reset))
-    ky1 = min(d, int(y + r_reset) + 1)
-    gx = np.arange(kx0, kx1, dtype=float)[:, None]
-    gy = np.arange(ky0, ky1, dtype=float)[None, :]
-    reset = (gx - x) ** 2 + (gy - y) ** 2 <= r_reset ** 2
-    ksl_x = slice(kx0, kx1)
-    ksl_y = slice(ky0, ky1)
+    ksl_x, ksl_y, reset = _disk(x, y, r_reset, w, d)
     heap.entanglement[ksl_x, ksl_y] = np.where(
         reset, heap.lambda_fresh[ksl_x, ksl_y], heap.entanglement[ksl_x, ksl_y])
     _settle(heap, ksl_x, ksl_y, reset)
     if config.slump_strength > 0:
-        r_slump = r_reset + config.slump_reach_mm
-        mx0 = max(0, int(x - r_slump))
-        mx1 = min(w, int(x + r_slump) + 1)
-        my0 = max(0, int(y - r_slump))
-        my1 = min(d, int(y + r_slump) + 1)
-        _slump(heap, slice(mx0, mx1), slice(my0, my1),
+        _slump(heap, *_box(x, y, r_reset + config.slump_reach_mm, w, d),
                config.slump_strength, config.slump_reach_mm)
 
     extra = math.fsum(clump_masses)
@@ -755,17 +753,7 @@ def apply_pregrasp(heap: HeapState, x: int, y: int, z_cm: float,
     _check_floor_clearance(heap, x, y, z_cm, config.clearance_mm)
 
     pg = config.pregrasp
-    r = pg.r_mm
-    jx0 = max(0, int(x - r))
-    jx1 = min(w, int(x + r) + 1)
-    jy0 = max(0, int(y - r))
-    jy1 = min(d, int(y + r) + 1)
-    gx = np.arange(jx0, jx1, dtype=float)[:, None]
-    gy = np.arange(jy0, jy1, dtype=float)[None, :]
-    disk = (gx - x) ** 2 + (gy - y) ** 2 <= r ** 2
-
-    sl_x = slice(jx0, jx1)
-    sl_y = slice(jy0, jy1)
+    sl_x, sl_y, disk = _disk(x, y, pg.r_mm, w, d)
     heap.entanglement[sl_x, sl_y] = np.where(
         disk, heap.entanglement[sl_x, sl_y] * pg.beta, heap.entanglement[sl_x, sl_y])
 
@@ -791,17 +779,7 @@ def release_mass(heap: HeapState, x: int, y: int, mass_g: float, config: SimConf
         return
     w, d, depth_mm = heap.tray_mm
     fw, fl = config.footprint_mm
-    r = math.hypot(fw, fl) / 2.0 + 15.0
-    jx0 = max(0, int(x - r))
-    jx1 = min(w, int(x + r) + 1)
-    jy0 = max(0, int(y - r))
-    jy1 = min(d, int(y + r) + 1)
-    gx = np.arange(jx0, jx1, dtype=float)[:, None]
-    gy = np.arange(jy0, jy1, dtype=float)[None, :]
-    disk = ((gx - x) ** 2 + (gy - y) ** 2 <= r ** 2)
-
-    sl_x = slice(jx0, jx1)
-    sl_y = slice(jy0, jy1)
+    sl_x, sl_y, disk = _disk(x, y, math.hypot(fw, fl) / 2.0 + 15.0, w, d)
     rho = heap.bulk_density[sl_x, sl_y]
     h = heap.heights[sl_x, sl_y]
     todo = mass_g

@@ -378,6 +378,11 @@ def test_cli_experiment_bad_input_exit_2(workdir, argv, needle):
     (("run", "{model}", "--target", 20, "--workers", -3), "--workers must be an integer >= 1"),
     (("experiment", "TABLE2", "--episodes", 30, "--workers", -3),
      "--workers must be an integer >= 1"),
+    (("collect", "--n", 2, "--zpool", -1), "--zpool must be a number > 0"),
+    (("collect", "--n", 2, "--zpool", 0), "--zpool must be a number > 0"),
+    (("collect", "--n", 2, "--zpool", 2, "nan"), "--zpool must be a number > 0"),
+    (("collect", "--n", 2, "--zpool", 14), "--zpool 14: no pool depth clears the tray floor"),
+    (("collect", "--n", 2, "--zpool", 50), "--zpool 50: no pool depth clears the tray floor"),
 ])
 def test_cli_numeric_flag_out_of_range_exit_2(workdir, checkpoint_doc, argv, needle):
     model = write_json(workdir / "flags_model.json", checkpoint_doc)
@@ -386,3 +391,16 @@ def test_cli_numeric_flag_out_of_range_exit_2(workdir, checkpoint_doc, argv, nee
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
     assert not list(workdir.glob("never_flags*"))
+
+
+def test_cli_experiment_too_shallow_fill_one_line(workdir):
+    """A tray filled too low for every pool depth is a runtime failure:
+    exit 1 and one line, no traceback."""
+    config = write_json(workdir / "shallow.json", {"fill_mm": 12})
+    out = workdir / "never_shallow.json"
+    code, err = run_cli("experiment", "TABLE2", "--episodes", 30, "--config", config,
+                        "--out", out)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "no pool depth clears the tray floor" in err[0]
+    assert not out.exists()

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entpick import mdn, select, sim
-from entpick.select import Candidate, SelectionConfig
+from entpick import mdn, pipeline, select, sim
+from entpick.select import SelectionConfig
 
 
 def brute_force_pick(target, alpha, mus, sigmas):
@@ -234,21 +235,29 @@ def test_selection_report_shape(heap_and_model):
     (2.0, 0.5, None), (19.5, 0.0, None), (15.0, 0.5, None), (2.0, 0.5, 10_000)])
 def test_selection_report_agrees_with_score_all_and_select(heap_and_model, target, alpha,
                                                            margin):
+    """The report against scoring all candidates (``_score_lattice``), picked
+    by ``brute_force_pick``, and against ``select_grasp``."""
     cfg, heap, model = heap_and_model
     extra = {} if margin is None else {"margin_px": margin}
     scfg = SelectionConfig(target_mass_g=target, alpha=alpha, stride_px=60, **extra)
     report = select.selection_report(model, heap, scfg)
-    scored = select.score_all(model, heap, scfg)
-    assert report["n_candidates"] == len(scored)
-    assert report["candidates"] == [
-        {"x": c.x, "y": c.y, "z_cm": c.z_cm, "mu_g": c.mu_g,
-         "sigma_g": c.sigma_g if math.isfinite(c.sigma_g) else "inf",
-         "feasible": c.feasible, "score": c.score if math.isfinite(c.score) else "inf"}
-        for c in scored]
+    cands, mus, sigmas = select._score_lattice(model, heap, scfg, cfg.clearance_mm)
+    want_idx, want_feasible = brute_force_pick(target, alpha, mus.tolist(), sigmas.tolist())
+    rows = []
+    for (x, y, z), mu, sigma, ok in zip(cands, mus.tolist(), sigmas.tolist(), want_feasible):
+        score = abs(target - mu) + sigma
+        rows.append({"x": x, "y": y, "z_cm": z, "mu_g": mu,
+                     "sigma_g": sigma if math.isfinite(sigma) else "inf", "feasible": ok,
+                     "score": score if math.isfinite(score) else "inf"})
+    assert report["n_candidates"] == len(cands)
+    assert report["candidates"] == rows
     sel = select.select_grasp(model, heap, scfg)
-    if sel is None:
-        assert report["winner"] is None
+    if want_idx is None:
+        assert sel is None and report["winner"] is None
     else:
+        x, y, z = cands[want_idx]
+        assert report["winner"] == {"index": want_idx, "x": x, "y": y, "z_cm": z,
+                                    "mu_g": mus[want_idx], "sigma_g": sigmas[want_idx]}
         assert report["winner"] == {"index": sel.index, "x": sel.x, "y": sel.y,
                                     "z_cm": sel.z_cm, "mu_g": sel.mu_g, "sigma_g": sel.sigma_g}
 
@@ -304,8 +313,45 @@ def test_selection_matches_partition_oracle_on_mutated_heap(mutated_heap, traine
                                                             monkeypatch):
     scfg = SelectionConfig(target_mass_g=15.0)
     got = select.select_grasp(trained_model, mutated_heap, scfg)
-    got_all = select.score_all(trained_model, mutated_heap, scfg)
+    got_report = select.selection_report(trained_model, mutated_heap, scfg)
     monkeypatch.setattr(select, "batch_unit_medians", partition_medians)
     assert got is not None
     assert got == select.select_grasp(trained_model, mutated_heap, scfg)
-    assert got_all == select.score_all(trained_model, mutated_heap, scfg)
+    assert got_report == select.selection_report(trained_model, mutated_heap, scfg)
+
+
+# ---------------------------------------------------------------- the floor rule
+
+@given(clearance_half_mm=st.integers(0, 40), z_quarter_cm=st.integers(1, 16))
+@settings(max_examples=20, deadline=None)
+def test_floor_rule_boundary_agrees_across_stages(clearance_half_mm, z_quarter_cm):
+    """On a flat heap every window median is the fill. At the depth where
+    median - 10 z == clearance exactly (all values dyadic, so exact in
+    float) every stage accepts; one 0.25 cm step deeper every stage masks
+    or rejects."""
+    clearance = clearance_half_mm / 2.0
+    z = z_quarter_cm / 4.0
+    deeper = z + 0.25
+    fill = clearance + 10.0 * z
+    cfg = sim.SimConfig(fill_mm=fill, clearance_mm=clearance, slip_g=0.0,
+                        noise=sim.NoiseParams(amp_mm=0.0))
+    heap = sim.init_heap(cfg, seed=1)
+    x, y = 212, 154
+    assert sim.local_median_height(heap, x, y) - 10.0 * z == clearance
+    assert sim.clears_floor(fill, z, clearance) and not sim.clears_floor(fill, deeper, clearance)
+
+    model = mdn.init_params(mdn.ModelConfig(K=1, feature_downsample=40, hidden_sizes=(4,)))
+    _, sigma = select._score_grid(model, heap, [(x, y)], (z, deeper), clearance)
+    assert math.isfinite(sigma[0, 0]) and sigma[0, 1] == math.inf
+    assert math.isfinite(select.score_candidate(model, heap, x, y, z, clearance)[1])
+    assert select.score_candidate(model, heap, x, y, deeper, clearance) == (0.0, math.inf)
+
+    rng = np.random.default_rng(0)
+    assert pipeline._random_grasp_point(heap, (deeper, z), rng, cfg)[2] == z
+    with pytest.raises(RuntimeError, match="floor"):
+        pipeline._random_grasp_point(heap, (deeper,), rng, cfg, max_tries=3)
+
+    for op in (sim.apply_pregrasp, sim.execute_grasp):
+        with pytest.raises(ValueError, match="floor"):
+            op(heap.copy(), x, y, deeper, rng, cfg)
+        op(heap.copy(), x, y, z, rng, cfg)

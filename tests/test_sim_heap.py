@@ -170,6 +170,53 @@ def test_init_heap_pinned_bits(doc, seed, digest, lam_fresh, rho_fresh):
         assert a.dtype == np.float64, name
 
 
+def grasp_sequence(doc, seed, ops_seed, steps):
+    """Seeded pre-grasp/grasp/release steps on a fresh heap; every third
+    step grasps as close to a tray corner as the footprint allows, so the
+    clamped boxes and clipped clump disks come into play. Returns the
+    heap's final state_digest() prefix and the sha256 prefix of the
+    grasped masses (-1 where the depth fails the floor rule)."""
+    cfg = sim.SimConfig.from_dict(doc)
+    heap = sim.init_heap(cfg, seed)
+    rng = np.random.default_rng(ops_seed)
+    w, d, _ = heap.tray_mm
+    fw, fl = cfg.footprint_mm
+    hx, hy = int(fw / 2) + 1, int(fl / 2) + 1
+    masses = []
+    for i in range(steps):
+        if i % 3 == 0:
+            x = int(rng.choice([hx, w - hx]))
+            y = int(rng.choice([hy, d - hy]))
+        else:
+            x = int(rng.integers(hx, w - hx + 1))
+            y = int(rng.integers(hy, d - hy + 1))
+        z = float(rng.choice([2.0, 3.0, 4.0]))
+        if not sim.clears_floor(sim.local_median_height(heap, x, y), z, cfg.clearance_mm):
+            masses.append(-1.0)
+            continue
+        sim.apply_pregrasp(heap, x, y, z, rng, cfg)
+        out = sim.execute_grasp(heap, x, y, z, rng, cfg)
+        masses.append(out.grasped_mass)
+        if i % 2 == 0:
+            sim.release_mass(heap, x, y, out.grasped_mass, cfg)
+    return heap.state_digest()[:16], sha16(np.asarray(masses))
+
+
+# (config, heap seed) -> the two prefixes of grasp_sequence(doc, seed,
+# seed + 1, 100), recorded before the disk and box helpers were shared
+PINNED_GRASP_SEQUENCES = [
+    ({}, 4, "e94f44ae3c10e835", "def1970160a313ae"),
+    ({"tray_mm": (170, 170, 160)}, 9, "b5a5814885a765c6", "8ab208d8bc86640b"),
+    ({"slump_strength": 0.0}, 21, "b41b89c38ecdece0", "a8857781bea29a1d"),
+    ({"tray_mm": (425, 309, 160)}, 33, "857a4f531d42c95b", "7fa8b69185a3b518"),
+]
+
+
+@pytest.mark.parametrize("doc, seed, digest, masses", PINNED_GRASP_SEQUENCES)
+def test_grasp_operations_pinned_bits(doc, seed, digest, masses):
+    assert grasp_sequence(doc, seed, seed + 1, 100) == (digest, masses)
+
+
 @given(w=st.integers(43, 440), d=st.integers(25, 320),
        corr=st.floats(1.0, 60.0), amp=st.one_of(st.just(0.0), st.floats(0.05, 8.0)),
        seed=st.integers(0, 2 ** 32 - 1))
