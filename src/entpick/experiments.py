@@ -1,12 +1,14 @@
 """Study presets, the study runner and bootstrap evaluation.
 
-A study is arms x cells. A preset lists its arms as (label, cell-seed key,
-episode kwargs) rows; its cells are percentile targets (nearest-rank
-percentiles of the model's training masses, which the training log
-carries), or fixed drops when it has no targets. ``run_experiment`` runs
-seeded episodes on fresh heaps for each arm x cell through the study's
-episode function in ``STUDIES``, and reports per band a bootstrap mean +-
-std rate of the study's success predicate:
+A study is arms x cells. A preset lists its arms as (label, episode
+kwargs) rows; its cells are percentile targets (nearest-rank percentiles of
+the model's training masses, which the training log carries), or fixed
+drops when it has no targets. ``run_experiment`` runs the preset's episodes
+as paired trials (common random numbers): episode i of every arm x cell
+starts from a copy of the same heap with the same ops seed. It runs them
+through the study's episode function in ``STUDIES`` and reports per band a
+bootstrap mean +- std rate of the study's success predicate, and the paired
+difference of each later arm against the first:
 
   TABLE1    selection margin alpha 0 vs 1, a single pick; success = grasped
             mass above target - 2 g, at the 10th/50th/70th percentiles.
@@ -37,7 +39,9 @@ import numpy as np
 
 from . import mdn, pipeline
 from .pipeline import EpisodeConfig
-from .select import SelectionConfig, select_grasp
+# select_grasp stays bound here for perfbench's tracer; the studies pick
+# off one shared scoring per heap instead
+from .select import SelectionConfig, _score_lattice, pick_grasp, select_grasp  # noqa: F401
 from .sim import (ScaleState, SimConfig, Z_POOL_DEEP, apply_pregrasp,
                   execute_grasp, init_heap, make_gripper_load, release_mass,
                   total_mass)
@@ -54,7 +58,7 @@ BOOTSTRAP_B = 2000
 @dataclass
 class ExperimentPreset:
     name: str
-    arms: tuple                            # (label, cell-seed key, episode kwargs)
+    arms: tuple                            # (label, episode kwargs); the first is the reference
     targets: tuple | None = (10, 50, 70)   # percentiles of training masses
     episodes: int = 200
     bands: tuple = (2.0, 3.0, 4.0)
@@ -71,21 +75,19 @@ class ExperimentPreset:
 
 
 def _switch(flag: str, **fixed) -> tuple:
-    """Off/on arms of one random-grasp episode flag, keyed by the bool."""
-    return tuple((f"{flag}={'on' if v else 'off'}", v, {**fixed, flag: v})
-                 for v in (False, True))
+    """Off/on arms of one random-grasp episode flag."""
+    return tuple((f"{flag}={'on' if v else 'off'}", {**fixed, flag: v}) for v in (False, True))
 
 
 _PRESETS = {
-    "TABLE1": dict(arms=tuple((f"alpha={a:g}", a, {"alpha": a}) for a in (0.0, 1.0)),
-                   bands=()),
+    "TABLE1": dict(arms=tuple((f"alpha={a:g}", {"alpha": a}) for a in (0.0, 1.0)), bands=()),
     "TABLE2": dict(arms=_switch("pregrasp", spines=True), targets=None, bands=(2.0,),
                    drops_g=(3.0, 4.0, 5.0, 10.0, 15.0)),
     "TABLE3": dict(arms=_switch("spines", pregrasp=True), targets=None,
                    bands=(2.0, 3.0, 4.0, 5.0), drops_g=(10.0,)),
     # the inference episode always pre-grasps and always uses the spines
-    "TABLE4": dict(arms=(("baseline", "baseline", {"alpha": 0.0, "use_postgrasp": False}),
-                         ("ours", "ours", {"alpha": 1.0}))),
+    "TABLE4": dict(arms=(("baseline", {"alpha": 0.0, "use_postgrasp": False}),
+                         ("ours", {"alpha": 1.0}))),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -107,6 +109,7 @@ def preset(name: str, episodes: int = 200, seed: int = 20240601,
 class BootstrapReport:
     preset: str
     cells: list       # {arm, target_g, [percentile], band_g, metric, mean_pct, std_pct}
+    paired: list      # {difference, target_g, [percentile], band_g, metric, mean_pp, std_pp}
     regrasp: list               # {arm, target_g, rate_pct}
     seeds: dict
     ledger: dict
@@ -210,13 +213,12 @@ def count_modes(hist: Histogram, window: int = 3, min_height_frac: float = 0.15,
 
 
 # ---------------------------------------------------------------------------
-# episodes: fn(sim_cfg, model, heap_seed, rng_seed, cell value, **arm kwargs)
+# episodes: fn(sim_cfg, model, heap, rng_seed, cell value, [lattice], **arm kwargs)
 # ---------------------------------------------------------------------------
 
-def _random_grasp_episode(sim_cfg, model, heap_seed, rng_seed, drop_g, pregrasp, spines):
+def _random_grasp_episode(sim_cfg, model, heap, rng_seed, drop_g, pregrasp, spines):
     """One TABLE2/TABLE3 style episode: random grasp (re-grasping light loads),
     then drop `drop_g` by post-grasping. The model is not used."""
-    heap = init_heap(sim_cfg, heap_seed)
     rng = np.random.default_rng(rng_seed)
     ctl = pipeline.ControllerConfig.from_sim(sim_cfg)
     before = total_mass(heap)
@@ -238,27 +240,26 @@ def _random_grasp_episode(sim_cfg, model, heap_seed, rng_seed, drop_g, pregrasp,
             "imbalance": before - total_mass(heap) - outcome.grasped_mass}
 
 
-def _selection_episode(sim_cfg, model, heap_seed, rng_seed, target, alpha, **episode_kw):
-    """One target-mass pick with retries on a fresh heap (TABLE4 and
-    `run_episode_batch`); `episode_kw` are EpisodeConfig fields."""
-    heap = init_heap(sim_cfg, heap_seed)
+def _selection_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice=None,
+                       **episode_kw):
+    """One target-mass pick with retries (TABLE4 and `run_episode_batch`);
+    `lattice` is the scoring of `heap` for the first pick, `episode_kw` are
+    EpisodeConfig fields."""
     rng = np.random.default_rng(rng_seed)
     cfg = EpisodeConfig.default(sim_cfg, **episode_kw)
     before = total_mass(heap)
-    r = pipeline.run_inference_episode(model, heap, target, alpha, cfg, rng)
+    r = pipeline.run_inference_episode(model, heap, target, alpha, cfg, rng, lattice)
     imbalance = before - total_mass(heap) - r.placed_g - r.discarded_g
     return {"status": r.status, "grasped": r.grasped_initial, "final": r.final_mass,
             "retries": r.retries, "imbalance": imbalance, "events": r.events,
             "chosen": r.chosen, "predicted": r.predicted}
 
 
-def _table1_episode(sim_cfg, model, heap_seed, rng_seed, target, alpha):
-    """Selection study episode: single pick, no retry, success judged on the
-    grasped mass itself."""
-    heap = init_heap(sim_cfg, heap_seed)
+def _table1_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice):
+    """Selection study episode: single pick off the heap's scoring, no
+    retry, success judged on the grasped mass itself."""
     rng = np.random.default_rng(rng_seed)
-    sel_cfg = SelectionConfig(target_mass_g=target, alpha=alpha)
-    sel = select_grasp(model, heap, sel_cfg, clearance_mm=sim_cfg.clearance_mm)
+    sel = pick_grasp(lattice, SelectionConfig(target_mass_g=target, alpha=alpha))
     if sel is None:
         return {"status": "infeasible", "grasped": 0.0, "imbalance": 0.0}
     before = total_mass(heap)
@@ -266,6 +267,26 @@ def _table1_episode(sim_cfg, model, heap_seed, rng_seed, target, alpha):
     outcome = execute_grasp(heap, sel.x, sel.y, sel.z_cm, rng, sim_cfg)
     imbalance = before - total_mass(heap) - outcome.grasped_mass
     return {"status": "placed", "grasped": outcome.grasped_mass, "imbalance": imbalance}
+
+
+def _run_index(episode, selects, sim_config, model, arms, values, heap_seed, ops_seed):
+    """Every arm x cell of one episode index, arm-major: one heap build, and
+    each arm x cell on its own copy with a fresh generator on the same ops
+    seed. A study that selects scores the fresh heap once for all of them,
+    since scoring reads neither the target nor alpha."""
+    heap = init_heap(sim_config, heap_seed)
+    shared = {}
+    if selects:
+        shared["lattice"] = _score_lattice(model, heap, SelectionConfig(target_mass_g=0.0),
+                                           sim_config.clearance_mm)
+    return [episode(sim_config, model, heap.copy(), ops_seed, value, **shared, **kw)
+            for kw in arms for value in values]
+
+
+def _batch_episode(sim_cfg, model, heap_seed, rng_seed, target, **kw):
+    """A `run_episode_batch` episode on its own heap."""
+    return _selection_episode(sim_cfg, model, init_heap(sim_cfg, heap_seed), rng_seed,
+                              target, **kw)
 
 
 def _map_episodes(episode, rows, workers: int) -> list:
@@ -291,19 +312,20 @@ class Study(NamedTuple):
     metric: str
     success: Callable          # (episode result, cell value, band) -> bool
     regrasp: bool              # report the share of re-grasped episodes per cell
+    selects: bool              # the episode takes the shared `lattice` of its heap
 
 
 _RANDOM_GRASP = Study(_random_grasp_episode, "final_within_band_of_drop_target",
-                      lambda r, drop, band: r["ok"] and r["err"] <= band, True)
+                      lambda r, drop, band: r["ok"] and r["err"] <= band, True, False)
 STUDIES = {
     "TABLE1": Study(_table1_episode, "grasped_above_target_minus_2g",
                     lambda r, target, band: r["status"] == "placed"
-                    and r["grasped"] > target - 2.0, False),
+                    and r["grasped"] > target - 2.0, False, True),
     "TABLE2": _RANDOM_GRASP,
     "TABLE3": _RANDOM_GRASP,
     "TABLE4": Study(_selection_episode, "final_within_band",
                     lambda r, target, band: r["status"] == "placed"
-                    and abs(r["final"] - target) <= band, True),
+                    and abs(r["final"] - target) <= band, True, True),
 }
 
 
@@ -319,8 +341,10 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
                    model: mdn.ModelParams | None = None,
                    workers: int = 1) -> BootstrapReport:
     """Run every arm x cell of a study preset and bootstrap one success rate
-    per band. Cells are percentile targets (which need the model), or the
-    preset's drops when it has no targets."""
+    per band, and one paired difference per band of each later arm against
+    the first. Cells are percentile targets (which need the model), or the
+    preset's drops when it has no targets. Episode indices are the unit of
+    work, and of the `workers` map."""
     name = preset_obj.name.upper()
     study = STUDIES.get(name)
     if study is None:
@@ -333,17 +357,24 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
     else:
         cell_values = list(zip(percentiles, _targets_from_model(model, percentiles)))
 
-    cells, regrasp, imbalances = [], [], []
+    seeds = _episode_seeds(_cell_seed(preset_obj.seed, name), preset_obj.episodes)
+    index = partial(_run_index, study.episode, study.selects, sim_config, model,
+                    tuple(kw for _, kw in preset_obj.arms), tuple(v for _, v in cell_values))
+    # per-index lists of arm-major results, transposed into arm x cell columns
+    columns = iter(zip(*_map_episodes(index, seeds, workers)))
+
+    cells, paired, regrasp, imbalances = [], [], [], []
     counts = {"episodes": 0, "infeasible": 0, "failed_to_grasp": 0}
     boot_seed = preset_obj.seed + 104729
-    for label, key, episode_kw in preset_obj.arms:
+    bands = preset_obj.bands or (None,)
+    wins = {}
+    for label, _ in preset_obj.arms:
         for part, value in cell_values:
-            seeds = _episode_seeds(_cell_seed(preset_obj.seed, key, part), preset_obj.episodes)
-            episode = partial(study.episode, sim_config, model, **episode_kw)
-            results = _map_episodes(episode, [(hs, rs, value) for hs, rs in seeds], workers)
-            for band in preset_obj.bands or (None,):
-                wins = [1.0 if study.success(r, value, band) else 0.0 for r in results]
-                mean, std = bootstrap(wins, BOOTSTRAP_B, boot_seed)
+            results = next(columns)
+            for band in bands:
+                wins[label, part, band] = np.array(
+                    [1.0 if study.success(r, value, band) else 0.0 for r in results])
+                mean, std = bootstrap(wins[label, part, band], BOOTSTRAP_B, boot_seed)
                 cells.append({"arm": label, "target_g": value,
                               **({} if percentiles is None else {"percentile": part}),
                               "band_g": band, "metric": study.metric,
@@ -356,12 +387,25 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
                 counts[status] += sum(1 for r in results if r.get("status") == status)
             imbalances.extend(r["imbalance"] for r in results)
 
+    # the arms share episode index i, so resampling per-index differences
+    # is the paired bootstrap over indices
+    first = preset_obj.arms[0][0]
+    for label, _ in preset_obj.arms[1:]:
+        for part, value in cell_values:
+            for band in bands:
+                mean, std = bootstrap(wins[label, part, band] - wins[first, part, band],
+                                      BOOTSTRAP_B, boot_seed)
+                paired.append({"difference": f"{label} - {first}", "target_g": value,
+                               **({} if percentiles is None else {"percentile": part}),
+                               "band_g": band, "metric": study.metric,
+                               "mean_pp": mean, "std_pp": std})
+
     ledger = {
         "episodes": counts["episodes"],
         "max_abs_imbalance_g": max((abs(i) for i in imbalances), default=0.0),
         "cumulative_imbalance_g": float(math.fsum(imbalances)),
     }
-    return BootstrapReport(preset=name, cells=cells, regrasp=regrasp,
+    return BootstrapReport(preset=name, cells=cells, paired=paired, regrasp=regrasp,
                            seeds={"root": preset_obj.seed, "bootstrap": boot_seed},
                            ledger=ledger, counts=counts)
 
@@ -372,7 +416,7 @@ def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: flo
     """Independent seeded episodes at one (target, alpha); returns the
     summary dict and JSON-lines trace records."""
     seeds = _episode_seeds(seed, episodes)
-    episode = partial(_selection_episode, sim_config, model, alpha=alpha, trace=trace)
+    episode = partial(_batch_episode, sim_config, model, alpha=alpha, trace=trace)
     results = _map_episodes(episode, [(hs, rs, target) for hs, rs in seeds], workers)
     finals = [r["final"] if r["status"] == "placed" else math.inf for r in results]
     summary = {

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mdn
-from .select import SelectionConfig, select_grasp
+from .select import SelectionConfig, pick_grasp, select_grasp
 from .sim import (PATCH_MARGIN, GripperLoad, HeapState, PostgraspParams,
                   ScaleState, SimConfig, Z_POOL_DEEP, apply_pregrasp,
                   clears_floor, execute_grasp, init_heap, local_median_height,
@@ -127,8 +127,12 @@ def run_postgrasp(load: GripperLoad, target: float, scale: ScaleState,
 
 def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float,
                           alpha: float, cfg: EpisodeConfig,
-                          rng: np.random.Generator) -> EpisodeResult:
-    """One target-mass pick with release-and-retry and post-grasp adjustment."""
+                          rng: np.random.Generator, lattice=None) -> EpisodeResult:
+    """One target-mass pick with release-and-retry and post-grasp adjustment.
+
+    `lattice`, when given, is ``select._score_lattice`` of `heap` exactly as
+    passed, with the default candidate lattice: the first pick reads it
+    instead of scoring again. Every retry scores the mutated heap."""
     ctl = cfg.controller
     events = []
     retries = 0
@@ -138,7 +142,10 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
     sel_cfg = SelectionConfig(target_mass_g=target, alpha=alpha)
 
     while True:
-        sel = select_grasp(model, heap, sel_cfg, clearance_mm=cfg.sim.clearance_mm)
+        if lattice is None:
+            sel = select_grasp(model, heap, sel_cfg, clearance_mm=cfg.sim.clearance_mm)
+        else:
+            sel, lattice = pick_grasp(lattice, sel_cfg), None
         events.append({"event": "observe"})
         if sel is None:
             return _finish(events, None, None, 0.0, retries, [], 0.0, 0.0, 0.0,
@@ -227,7 +234,8 @@ def run_collection(sim_config: SimConfig, n: int, zpool=Z_POOL_DEEP,
     """Self-supervised data collection: n loosened grasps at random points
     and pool depths, each recorded as (pre-loosening patch, depth, grasped
     mass) with the mass placed outside the tray. Rows are split 75/25 into
-    train/eval (150/50 at the standard n=200)."""
+    train/eval (150/50 at the standard n=200), keeping at least one eval
+    row."""
     if n < 2:
         raise ValueError("need at least 2 grasps to form train and eval splits")
     ss = np.random.SeedSequence(seed)
@@ -243,7 +251,7 @@ def run_collection(sim_config: SimConfig, n: int, zpool=Z_POOL_DEEP,
         outcome = execute_grasp(heap, x, y, z, rng, sim_config)
         rows.append(mdn.DataRow(obs.heights, z, outcome.grasped_mass, "train"))
 
-    n_train = round(0.75 * n)
+    n_train = min(round(0.75 * n), n - 1)
     order = rng.permutation(n)
     for i in order[n_train:]:
         rows[i].split = "eval"

@@ -175,11 +175,11 @@ def _score_lattice(model, heap, config, clearance_mm):
     return cands, mu.ravel(), sigma.ravel()
 
 
-def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
-                 clearance_mm: float = SimConfig.clearance_mm):
-    """Best grasp point under the uncertainty-penalised criterion, or None
-    when no candidate is feasible."""
-    cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
+def pick_grasp(lattice, config: SelectionConfig):
+    """The winner of a ``_score_lattice`` result under the config's target
+    and alpha, or None when no candidate is feasible. Scoring depends on
+    neither, so one lattice serves every (target, alpha) on its heap."""
+    cands, flat_mu, flat_sigma = lattice
     idx, _ = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
     if idx is None:
         return None
@@ -187,6 +187,13 @@ def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfi
     return SelectedGrasp(x, y, z, float(flat_mu[idx]), float(flat_sigma[idx]),
                          float(abs(config.target_mass_g - flat_mu[idx]) + flat_sigma[idx]),
                          idx)
+
+
+def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
+                 clearance_mm: float = SimConfig.clearance_mm):
+    """Best grasp point under the uncertainty-penalised criterion, or None
+    when no candidate is feasible."""
+    return pick_grasp(_score_lattice(model, heap, config, clearance_mm), config)
 
 
 def selection_report(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,

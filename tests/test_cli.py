@@ -195,3 +195,11 @@ def test_manifest_replay_reproduces_artifact(tmp_path):
     argv[argv.index("--out") + 1] = str(replay_out)
     assert cli.main(argv) == 0
     assert out.read_bytes() == replay_out.read_bytes()
+
+
+def test_collect_two_grasps_then_train(tmp_path):
+    data = tmp_path / "d.jsonl"
+    assert run_cli("collect", "--n", 2, "--seed", 1, "--out", data) == 0
+    ds = mdn.Dataset.from_jsonl(data)
+    assert (len(ds.train_rows()), len(ds.eval_rows())) == (1, 1)
+    assert run_cli("train", data, "--seed", 3, "--out", tmp_path / "m.json") == 0

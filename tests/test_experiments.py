@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entpick import experiments as ex
-from entpick import mdn
+from entpick import mdn, pipeline, select, sim
 
 
 def dataset_of(masses, split="train"):
@@ -215,3 +215,122 @@ def test_workers_do_not_change_selection_results(sim_config, trained_model):
     b = ex.run_experiment(p, sim_config, trained_model, workers=2)
     assert a.to_dict() == b.to_dict()
     assert [c["percentile"] for c in a.cells] == [50] * 6
+
+
+# ---------------------------------------------------------------- common random numbers
+
+def test_episode_index_shares_one_heap_and_ops_seed(sim_config, monkeypatch):
+    builds = []
+    real_init = ex.init_heap
+
+    def counting_init(*args, **kwargs):
+        builds.append(args[1])
+        return real_init(*args, **kwargs)
+
+    starts = []
+    study = ex.STUDIES["TABLE3"]
+
+    def recording_episode(sim_cfg, model, heap, rng_seed, value, **kw):
+        starts.append((heap.state_digest(), rng_seed, kw["spines"]))
+        return study.episode(sim_cfg, model, heap, rng_seed, value, **kw)
+
+    monkeypatch.setattr(ex, "init_heap", counting_init)
+    monkeypatch.setitem(ex.STUDIES, "TABLE3", study._replace(episode=recording_episode))
+    p = ex.preset("TABLE3", episodes=30, seed=5)
+    ex.run_experiment(p, sim_config)
+    assert len(builds) == 30
+    seeds = ex._episode_seeds(ex._cell_seed(p.seed, p.name), p.episodes)
+    assert builds == [hs for hs, _ in seeds]
+    # one index at a time, arm-major within it: spines off, then on
+    assert len(starts) == 60
+    for i, (heap_seed, ops_seed) in enumerate(seeds):
+        off, on = starts[2 * i], starts[2 * i + 1]
+        assert (off[2], on[2]) == (False, True)
+        assert off[:2] == on[:2]
+        assert off[1] == ops_seed
+        assert off[0] == real_init(sim_config, heap_seed).state_digest()
+    assert len({s[0] for s in starts}) == 30
+
+
+def _reference_report(p, sim_config, model):
+    """The preset's cells, regrasp rows and counts from a loop that builds
+    the heap again from the shared seeds for every arm x cell and selects
+    with select_grasp."""
+    seeds = ex._episode_seeds(ex._cell_seed(p.seed, p.name), p.episodes)
+    targets = ex._targets_from_model(model, p.targets)
+    boot_seed = p.seed + 104729
+    cells, regrasp = [], []
+    counts = {"episodes": 0, "infeasible": 0, "failed_to_grasp": 0}
+    for label, kw in p.arms:
+        for part, target in zip(p.targets, targets):
+            outcomes = []
+            for heap_seed, ops_seed in seeds:
+                heap = sim.init_heap(sim_config, heap_seed)
+                rng = np.random.default_rng(ops_seed)
+                if p.name == "TABLE1":
+                    sel = select.select_grasp(
+                        model, heap, select.SelectionConfig(target, kw["alpha"]),
+                        clearance_mm=sim_config.clearance_mm)
+                    if sel is None:
+                        outcomes.append(("infeasible", 0.0, 0))
+                        continue
+                    sim.apply_pregrasp(heap, sel.x, sel.y, sel.z_cm, rng, sim_config)
+                    g = sim.execute_grasp(heap, sel.x, sel.y, sel.z_cm, rng, sim_config)
+                    outcomes.append(("placed", g.grasped_mass, 0))
+                else:
+                    cfg = pipeline.EpisodeConfig.default(
+                        sim_config, **{k: v for k, v in kw.items() if k != "alpha"})
+                    r = pipeline.run_inference_episode(model, heap, target, kw["alpha"],
+                                                       cfg, rng)
+                    outcomes.append((r.status, r.final_mass, r.retries))
+            for band in p.bands or (None,):
+                if p.name == "TABLE1":
+                    wins = [s == "placed" and m > target - 2.0 for s, m, _ in outcomes]
+                else:
+                    wins = [s == "placed" and abs(m - target) <= band for s, m, _ in outcomes]
+                mean, std = ex.bootstrap([float(w) for w in wins], ex.BOOTSTRAP_B, boot_seed)
+                cells.append((label, target, part, band, mean, std))
+            if p.name == "TABLE4":
+                rate = 100.0 * sum(1 for *_, n in outcomes if n > 0) / len(outcomes)
+                regrasp.append({"arm": label, "target_g": target, "rate_pct": rate})
+            counts["episodes"] += len(outcomes)
+            for status in ("infeasible", "failed_to_grasp"):
+                counts[status] += sum(1 for s, *_ in outcomes if s == status)
+    return cells, regrasp, counts
+
+
+@pytest.mark.parametrize("name", ["TABLE1", "TABLE4"])
+def test_shared_scoring_equals_rescoring_every_arm(sim_config, trained_model, name):
+    p = dataclasses.replace(ex.preset(name, episodes=30, seed=8), targets=(50,))
+    report = ex.run_experiment(p, sim_config, trained_model)
+    cells, regrasp, counts = _reference_report(p, sim_config, trained_model)
+    assert [(c["arm"], c["target_g"], c["percentile"], c["band_g"], c["mean_pct"],
+             c["std_pct"]) for c in report.cells] == cells
+    assert report.regrasp == regrasp
+    assert report.counts == counts
+
+
+def test_paired_difference_of_identical_arms_is_zero(sim_config):
+    twin = {"pregrasp": True, "spines": True}
+    p = ex.ExperimentPreset("TABLE3", arms=(("a", twin), ("b", twin)), targets=None,
+                            episodes=30, seed=5, bands=(2.0, 5.0), drops_g=(10.0,))
+    report = ex.run_experiment(p, sim_config)
+    assert [c["mean_pct"] for c in report.cells[:2]] == [c["mean_pct"] for c in report.cells[2:]]
+    assert len(report.paired) == 2
+    for row in report.paired:
+        assert row["difference"] == "b - a"
+        assert row["mean_pp"] == row["std_pp"] == 0.0
+
+
+def test_paired_rows_are_arm_differences_per_cell_and_band(sim_config):
+    report = ex.run_experiment(ex.preset("TABLE2", episodes=30, seed=5, drops_g=(5.0, 10.0)),
+                               sim_config)
+    assert [(r["target_g"], r["band_g"]) for r in report.paired] == [(5.0, 2.0), (10.0, 2.0)]
+    for row in report.paired:
+        assert list(row) == ["difference", "target_g", "band_g", "metric", "mean_pp", "std_pp"]
+        assert row["difference"] == "pregrasp=on - pregrasp=off"
+        on, off = (next(c["mean_pct"] for c in report.cells
+                        if c["arm"] == arm and c["target_g"] == row["target_g"])
+                   for arm in ("pregrasp=on", "pregrasp=off"))
+        # one resampling of the indices serves both arms and their difference
+        assert row["mean_pp"] == pytest.approx(on - off, abs=1e-9)

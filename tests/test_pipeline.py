@@ -252,3 +252,11 @@ def test_collection_deterministic():
     for ra, rb in zip(a.rows, b.rows):
         assert ra.mass_g == rb.mass_g and ra.z_cm == rb.z_cm and ra.split == rb.split
         assert np.array_equal(np.asarray(ra.patch), np.asarray(rb.patch))
+
+
+def test_collection_keeps_both_splits_nonempty():
+    # round(0.75 * 2) is 2, so the smallest collection needs the n - 1 cap
+    for n in range(2, 13):
+        ds = pipeline.run_collection(sim.SimConfig(), n, seed=3)
+        assert len(ds.train_rows()) >= 1 and len(ds.eval_rows()) >= 1, n
+        assert len(ds.train_rows()) == min(round(0.75 * n), n - 1), n
