@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Digests of every seeded output that a behaviour-preserving change must
+keep bit-identical: one ``name digest`` line per output, each digest the
+first 16 hex digits of a sha256.
+
+Run it on two trees (for example a ``git archive`` of the parent commit and
+the working tree) and compare the columns:
+
+    PYTHONPATH=src python scripts/output_digests.py
+
+The outputs:
+  - ``model.theta``: the default test model (collection seed 101, model
+    seed 7), which the selection outputs below use;
+  - ``collect``/``train``: the dataset bytes of ``collect --n 200 --seed
+    12345`` and the checkpoint bytes of ``train --seed 3`` on it;
+  - ``inspect``: three selection reports on the test model, and exit code
+    plus stdout with the output directory masked;
+  - ``run_episode_batch``: summary and traces at the 50th-percentile
+    target, 12 episodes on seed 3, for alpha 0 and 1 with trace on and off;
+    and at the 10th percentile, alpha 1, seed 4, on 1 and 2 workers;
+  - ``run_experiment``: the TABLE1-4 reports at 30 episodes per cell on
+    seeds 5 and 20240601;
+  - ``perfbench``: the output digest of one unit of each workload.
+
+Takes about a minute on two cores.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+from entpick import cli, experiments, mdn, pipeline, sim
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH_SEEDS = {"collect_train": 901, "session": 951, "studies": 801}
+
+
+def digest(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def emit(name, data):
+    print(f"{name} {digest(data)}", flush=True)
+
+
+def run_cli(*argv) -> tuple:
+    """cli.main's exit code and stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([str(a) for a in argv])
+    return code, stdout.getvalue()
+
+
+def cli_outputs(model, tmp):
+    data, ckpt = tmp / "data.jsonl", tmp / "model.json"
+    assert run_cli("collect", "--n", 200, "--seed", 12345, "--out", data)[0] == 0
+    emit("collect.n200.seed12345", data.read_bytes())
+    assert run_cli("train", data, "--seed", 3, "--out", ckpt)[0] == 0
+    emit("train.seed3", ckpt.read_bytes())
+
+    test_model = tmp / "test_model.json"
+    mdn.save_checkpoint(model, test_model)
+    for target, alpha, seed in (("20", "1.0", "0"), ("33.99", "0.0", "3"), ("500", "1.0", "1")):
+        name = f"inspect.target{target}.alpha{alpha}.seed{seed}"
+        out = tmp / "inspect.json"
+        code, stdout = run_cli("inspect", test_model, "--target", target, "--alpha", alpha,
+                               "--seed", seed, "--out", out)
+        emit(f"{name}.report", out.read_bytes())
+        emit(f"{name}.exit_stdout", f"exit {code}\n{stdout}".replace(str(tmp), "<out>").encode())
+
+
+def batch_outputs(sim_cfg, model):
+    p10, p50 = experiments._targets_from_model(model, (10, 50))
+    for alpha in (0.0, 1.0):
+        for trace in (True, False):
+            summary, traces = experiments.run_episode_batch(sim_cfg, model, p50, alpha, 12, 3,
+                                                            trace=trace)
+            name = f"run_episode_batch.alpha{alpha:g}.trace{int(trace)}"
+            emit(f"{name}.summary", summary)
+            emit(f"{name}.traces", traces)
+    for workers in (1, 2):
+        summary, traces = experiments.run_episode_batch(sim_cfg, model, p10, 1.0, 12, 4,
+                                                        workers=workers)
+        emit(f"run_episode_batch.p10.workers{workers}.summary", summary)
+        emit(f"run_episode_batch.p10.workers{workers}.traces", traces)
+
+
+def study_outputs(sim_cfg, model):
+    for seed in (5, 20240601):
+        for name in experiments.PRESET_NAMES:
+            report = experiments.run_experiment(experiments.preset(name, episodes=30, seed=seed),
+                                                sim_cfg, model)
+            emit(f"run_experiment.{name}.episodes30.seed{seed}", report.to_dict())
+
+
+def perfbench_outputs():
+    for workload, seed in PERFBENCH_SEEDS.items():
+        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                              "--seed", str(seed), "--seconds", "1"],
+                             cwd=ROOT, capture_output=True, text=True, check=True)
+        line = next(ln for ln in out.stdout.splitlines() if ln.startswith("digest "))
+        print(f"perfbench.{workload}.seed{seed} {line.split()[1]}", flush=True)
+
+
+def main():
+    sim_cfg = sim.SimConfig()
+    model = mdn.train(pipeline.run_collection(sim_cfg, 200, seed=101), mdn.ModelConfig(seed=7))
+    emit("model.theta", model.theta.tobytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_outputs(model, pathlib.Path(tmp))
+    batch_outputs(sim_cfg, model)
+    study_outputs(sim_cfg, model)
+    perfbench_outputs()
+
+
+if __name__ == "__main__":
+    main()

@@ -149,10 +149,11 @@ def cmd_train(args) -> int:
     mdn.save_checkpoint(params, args.out)
     write_manifest(args.out, "train", args, [str(args.out)], {"model": mcfg.seed})
     first = params.training_log["epochs"][0]["eval_nll"]
-    last = params.training_log["epochs"][-1]
+    last = params.training_log["epochs"][-1]["train_nll"]   # None when no epoch ran
+    final = "" if last is None else f" (final train NLL {last:.3f})"
     print(f"trained {mcfg.epochs} epochs on {len(dataset.train_rows())} rows: "
-          f"eval NLL {first:.3f} -> best {params.training_log['best_eval_nll']:.3f} "
-          f"(final train NLL {last['train_nll']:.3f}) -> {args.out}")
+          f"eval NLL {first:.3f} -> best {params.training_log['best_eval_nll']:.3f}"
+          f"{final} -> {args.out}")
     return 0
 
 

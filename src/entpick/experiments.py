@@ -132,14 +132,6 @@ def nearest_rank_percentile(values, p: float) -> float:
     return float(ordered[rank - 1])
 
 
-def percentile_targets(dataset: mdn.Dataset, ps) -> list:
-    """Targets at the given percentiles of the training-split masses."""
-    masses = dataset.masses("train")
-    if not masses:
-        raise ValueError("empty training split")
-    return [nearest_rank_percentile(masses, p) for p in ps]
-
-
 def success_rate(finals, target: float, band: float) -> float:
     """Fraction of final masses within +-band of the target."""
     finals = list(finals)
@@ -220,7 +212,6 @@ def _random_grasp_episode(sim_cfg, model, heap, rng_seed, drop_g, pregrasp, spin
     """One TABLE2/TABLE3 style episode: random grasp (re-grasping light loads),
     then drop `drop_g` by post-grasping. The model is not used."""
     rng = np.random.default_rng(rng_seed)
-    ctl = pipeline.ControllerConfig.from_sim(sim_cfg)
     before = total_mass(heap)
     for retries in range(30):
         x, y, z = pipeline._random_grasp_point(heap, Z_POOL_DEEP, rng, sim_cfg)
@@ -235,7 +226,7 @@ def _random_grasp_episode(sim_cfg, model, heap, rng_seed, drop_g, pregrasp, spin
     target = outcome.grasped_mass - drop_g
     load = make_gripper_load(outcome, sim_cfg.postgrasp, spines)
     scale = ScaleState(params=sim_cfg.scale)
-    final, _ = pipeline.run_postgrasp(load, target, scale, ctl, rng, sim_cfg.postgrasp)
+    final, _ = pipeline.run_postgrasp(load, target, scale, sim_cfg.postgrasp, rng)
     return {"ok": True, "retries": retries, "err": abs(final - target),
             "imbalance": before - total_mass(heap) - outcome.grasped_mass}
 
@@ -281,12 +272,6 @@ def _run_index(episode, selects, sim_config, model, arms, values, heap_seed, ops
                                            sim_config.clearance_mm)
     return [episode(sim_config, model, heap.copy(), ops_seed, value, **shared, **kw)
             for kw in arms for value in values]
-
-
-def _batch_episode(sim_cfg, model, heap_seed, rng_seed, target, **kw):
-    """A `run_episode_batch` episode on its own heap."""
-    return _selection_episode(sim_cfg, model, init_heap(sim_cfg, heap_seed), rng_seed,
-                              target, **kw)
 
 
 def _map_episodes(episode, rows, workers: int) -> list:
@@ -413,11 +398,13 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
 def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: float,
                       alpha: float, episodes: int, seed: int, workers: int = 1,
                       trace: bool = True) -> tuple:
-    """Independent seeded episodes at one (target, alpha); returns the
-    summary dict and JSON-lines trace records."""
-    seeds = _episode_seeds(seed, episodes)
-    episode = partial(_batch_episode, sim_config, model, alpha=alpha, trace=trace)
-    results = _map_episodes(episode, [(hs, rs, target) for hs, rs in seeds], workers)
+    """Independent seeded episodes at one (target, alpha), each on its own
+    heap: one arm x one cell of the study runner; returns the summary dict
+    and JSON-lines trace records."""
+    index = partial(_run_index, _selection_episode, True, sim_config, model,
+                    ({"alpha": alpha, "trace": trace},), (target,))
+    results = [r for rs in _map_episodes(index, _episode_seeds(seed, episodes), workers)
+               for r in rs]
     finals = [r["final"] if r["status"] == "placed" else math.inf for r in results]
     summary = {
         "target_g": target,

@@ -7,19 +7,23 @@ a split dataset ready for training.
 
 ``run_inference_episode`` drives one target-mass pick: select a grasp point
 under the uncertainty criterion, loosen, grasp, then either release-and-
-retry (grasped at or below target - 2 g), discard excess through cyclic
-post-grasping (grasped at or above target + 2 g), or place directly. The
-post-grasp loop is governed by *scale readings* - quantised, lagged, and
+retry (grasped at or below target - ``RETRY_BAND_G``, at most ``RETRY_CAP``
+times), discard excess through cyclic post-grasping (grasped at or above
+target + ``STOP_BAND_G``), or place directly. The post-grasp loop runs one
+cycle per 1 / ``CONTROL_HZ`` s until the load estimate falls below target +
+``STOP_BAND_G``. It is governed by *scale readings* - quantised, lagged, and
 transient-corrupted - so the achievable accuracy is set by the sensor, while
 true masses are tracked separately for the episode ledger.
 
 The post-grasp cycle speed falls linearly from v_max to v_min as the
-estimated load approaches target + stop_band.
+estimated load approaches target + ``STOP_BAND_G``; ``sim.PostgraspParams``
+owns and checks that speed range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -31,24 +35,13 @@ from .sim import (PATCH_MARGIN, GripperLoad, HeapState, PostgraspParams,
                   make_gripper_load, observe_patch, postgrasp_step, read_scale,
                   release_mass)
 
-
-@dataclass
-class ControllerConfig:
-    """Linear speed law for the post-grasp cycle, plus the ALGO-2 bands."""
-
-    v_min: float = 0.5
-    v_max: float = 2.0
-    stop_band_g: float = 2.0
-    retry_band_g: float = 2.0
-    control_hz: float = 30.0
-
-    def __post_init__(self):
-        if not 0 < self.v_min <= self.v_max:
-            raise ValueError("need 0 < v_min <= v_max")
-
-    @classmethod
-    def from_sim(cls, sim_config: SimConfig) -> "ControllerConfig":
-        return cls(v_min=sim_config.postgrasp.v_min, v_max=sim_config.postgrasp.v_max)
+# ALGO 2: release and retry a grasp at or below target - RETRY_BAND_G, giving
+# up after RETRY_CAP retries; post-grasp one at or above target + STOP_BAND_G
+# until the estimate falls below it, one cycle per 1 / CONTROL_HZ s
+RETRY_BAND_G = 2.0
+STOP_BAND_G = 2.0
+CONTROL_HZ = 30.0
+RETRY_CAP = 10
 
 
 @dataclass
@@ -57,14 +50,12 @@ class EpisodeConfig:
     lattice; pre-grasping and the spines are always on."""
 
     sim: SimConfig
-    controller: ControllerConfig
     use_postgrasp: bool = True
-    retry_cap: int = 10
     trace: bool = False
 
     @classmethod
     def default(cls, sim_config: SimConfig, **kw) -> "EpisodeConfig":
-        return cls(sim=sim_config, controller=ControllerConfig.from_sim(sim_config), **kw)
+        return cls(sim=sim_config, **kw)
 
 
 @dataclass
@@ -75,7 +66,7 @@ class EpisodeResult:
     retries: int
     postgrasp_trace: list         # (t_s, v, dropped_g)
     final_mass: float
-    placed_g: float
+    placed_g: float               # equals final_mass
     discarded_g: float
     status: str                   # placed | infeasible | failed_to_grasp
     success_band_2g: bool
@@ -83,42 +74,40 @@ class EpisodeResult:
 
 
 def controller_speed(current: float, target: float, start: float,
-                     cfg: ControllerConfig) -> float:
+                     params: PostgraspParams) -> float:
     """Cycle speed, linear in the remaining excess: v_max at the start mass,
-    v_min once the current estimate reaches target + stop_band."""
+    v_min once the current estimate reaches target + STOP_BAND_G."""
     if not (start >= current >= 0):
         raise ValueError(f"need start >= current >= 0, got start={start}, current={current}")
-    floor = target + cfg.stop_band_g
+    floor = target + STOP_BAND_G
     if not start > floor:
         raise ValueError(f"start mass {start} must exceed target + stop band {floor}")
     frac = (current - floor) / (start - floor)
     frac = min(max(frac, 0.0), 1.0)
-    return cfg.v_min + (cfg.v_max - cfg.v_min) * frac
+    return params.v_min + (params.v_max - params.v_min) * frac
 
 
 def run_postgrasp(load: GripperLoad, target: float, scale: ScaleState,
-                  cfg: ControllerConfig, rng: np.random.Generator,
-                  postgrasp_params=None) -> tuple:
+                  params: PostgraspParams, rng: np.random.Generator) -> tuple:
     """Cycle the movable gripper until the *reading-based* load estimate
-    drops below target + stop_band. Returns (true final mass, trace)."""
+    drops below target + STOP_BAND_G. Reads the scale once before each
+    step. Returns (true final mass, trace)."""
     if target < 0:
         raise ValueError("target mass must be non-negative")
-    if postgrasp_params is None:
-        postgrasp_params = PostgraspParams()
     start = load.remaining_mass
-    dt = 1.0 / cfg.control_hz
+    dt = 1.0 / CONTROL_HZ
     t = 0.0
     trace = []
     for _ in range(100_000):  # bounded for safety; the guard exits first
         reading = read_scale(scale, t)
         estimate = min(start, max(0.0, start - reading))
-        if not target + cfg.stop_band_g <= estimate + 1e-12:
+        if not target + STOP_BAND_G <= estimate + 1e-12:
             break
-        if start > target + cfg.stop_band_g:
-            v = controller_speed(estimate, target, start, cfg)
+        if start > target + STOP_BAND_G:
+            v = controller_speed(estimate, target, start, params)
         else:
-            v = cfg.v_min  # entered exactly at the band edge
-        dropped = postgrasp_step(load, v, postgrasp_params, rng)
+            v = params.v_min  # entered exactly at the band edge
+        dropped = postgrasp_step(load, v, params, rng)
         scale.add_mass(dropped, t)
         trace.append((t, v, dropped))
         t += dt
@@ -133,7 +122,6 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
     `lattice`, when given, is ``select._score_lattice`` of `heap` exactly as
     passed, with the default candidate lattice: the first pick reads it
     instead of scoring again. Every retry scores the mutated heap."""
-    ctl = cfg.controller
     events = []
     retries = 0
     chosen = None
@@ -148,7 +136,7 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
             sel, lattice = pick_grasp(lattice, sel_cfg), None
         events.append({"event": "observe"})
         if sel is None:
-            return _finish(events, None, None, 0.0, retries, [], 0.0, 0.0, 0.0,
+            return _finish(events, None, None, 0.0, retries, [], 0.0, 0.0,
                            "infeasible", target, cfg)
         chosen = (sel.x, sel.y, sel.z_cm)
         predicted = (sel.mu_g, sel.sigma_g)
@@ -163,48 +151,46 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
         events.append({"event": "grasp", "grasped_g": grasped,
                        "base_g": outcome.base_mass, "extra_g": outcome.entangled_extra})
 
-        if grasped <= target - ctl.retry_band_g:
+        if grasped <= target - RETRY_BAND_G:
             release_mass(heap, sel.x, sel.y, grasped, cfg.sim)
             events.append({"event": "release", "released_g": grasped})
             retries += 1
-            if retries > cfg.retry_cap:
+            if retries > RETRY_CAP:
                 return _finish(events, chosen, predicted, grasped, retries, [],
-                               0.0, 0.0, 0.0, "failed_to_grasp", target, cfg)
+                               0.0, 0.0, "failed_to_grasp", target, cfg)
             continue
         break
 
     trace = []
     discarded = 0.0
     final = grasped
-    if cfg.use_postgrasp and grasped >= target + ctl.stop_band_g:
+    if cfg.use_postgrasp and grasped >= target + STOP_BAND_G:
         load = make_gripper_load(outcome, cfg.sim.postgrasp)
         scale = ScaleState(params=cfg.sim.scale)
-        final, trace = run_postgrasp(load, target, scale, ctl, rng, cfg.sim.postgrasp)
+        final, trace = run_postgrasp(load, target, scale, cfg.sim.postgrasp, rng)
         discarded = grasped - final
         if cfg.trace:
-            # interleave discard steps with the scale readings that drove them
-            merged = ([("poststep", t, (v, dropped)) for t, v, dropped in trace]
-                      + [("scale", t, value) for t, value in scale.readings])
-            for kind, t, payload in sorted(merged, key=lambda e: (e[1], e[0] == "poststep")):
-                if kind == "scale":
-                    events.append({"event": "scale", "t_s": t, "reading_g": payload})
-                else:
-                    v, dropped = payload
+            # reading i drove step i, at the same time; the last reading
+            # ended the loop
+            for (t, reading), step in zip_longest(scale.readings, trace):
+                events.append({"event": "scale", "t_s": t, "reading_g": reading})
+                if step is not None:
+                    t, v, dropped = step
                     events.append({"event": "poststep", "t_s": t, "v": v,
                                    "dropped_g": dropped})
 
     events.append({"event": "place", "placed_g": final})
     return _finish(events, chosen, predicted, grasped, retries, trace,
-                   final, final, discarded, "placed", target, cfg)
+                   final, discarded, "placed", target, cfg)
 
 
-def _finish(events, chosen, predicted, grasped, retries, trace, final, placed,
+def _finish(events, chosen, predicted, grasped, retries, trace, final,
             discarded, status, target, cfg):
     err = abs(final - target)
     return EpisodeResult(
         chosen=chosen, predicted=predicted, grasped_initial=grasped,
         retries=retries, postgrasp_trace=trace, final_mass=final,
-        placed_g=placed, discarded_g=discarded, status=status,
+        placed_g=final, discarded_g=discarded, status=status,
         success_band_2g=err <= 2.0,
         events=events if cfg.trace else [])
 

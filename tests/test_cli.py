@@ -203,3 +203,16 @@ def test_collect_two_grasps_then_train(tmp_path):
     ds = mdn.Dataset.from_jsonl(data)
     assert (len(ds.train_rows()), len(ds.eval_rows())) == (1, 1)
     assert run_cli("train", data, "--seed", 3, "--out", tmp_path / "m.json") == 0
+
+
+def test_train_zero_epochs_prints_one_line(small_dataset, tmp_path, capsys):
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({"epochs": 0}))
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run_cli("train", small_dataset, "--config", config, "--out", model) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "final train NLL" not in lines[0]
+    params = mdn.load_checkpoint(model)
+    assert params.training_log["epochs"] == [
+        {"epoch": 0, "train_nll": None, "eval_nll": params.training_log["best_eval_nll"]}]

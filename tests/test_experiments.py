@@ -23,13 +23,12 @@ def test_nearest_rank_hand_case():
 
 
 def test_percentile_constant_dataset():
-    ds = dataset_of([10.0] * 20)
-    assert ex.percentile_targets(ds, (10, 50, 70)) == [10.0, 10.0, 10.0]
+    assert [ex.nearest_rank_percentile([10.0] * 20, p) for p in (10, 50, 70)] == [10.0] * 3
 
 
 def test_percentile_empty_errors():
     with pytest.raises(ValueError):
-        ex.percentile_targets(dataset_of([], split="eval"), (50,))
+        ex.nearest_rank_percentile([], 50)
 
 
 def test_reference_targets_documented():
@@ -308,6 +307,26 @@ def test_shared_scoring_equals_rescoring_every_arm(sim_config, trained_model, na
              c["std_pct"]) for c in report.cells] == cells
     assert report.regrasp == regrasp
     assert report.counts == counts
+
+
+def test_episode_batch_equals_reference_loop(sim_config, trained_model):
+    # one arm x one cell on the index runner: each episode on its own fresh
+    # heap, the first pick off the shared scoring as select_grasp would pick
+    target = ex._targets_from_model(trained_model, (50,))[0]
+    summary, traces = ex.run_episode_batch(sim_config, trained_model, target, 1.0, 8, seed=3)
+    cfg = pipeline.EpisodeConfig.default(sim_config, trace=True)
+    events, results = [], []
+    for i, (heap_seed, ops_seed) in enumerate(ex._episode_seeds(3, 8)):
+        heap = sim.init_heap(sim_config, heap_seed)
+        r = pipeline.run_inference_episode(trained_model, heap, target, 1.0, cfg,
+                                           np.random.default_rng(ops_seed))
+        events.extend({"episode": i, **e} for e in r.events)
+        results.append(r)
+    assert traces == events
+    finals = [r.final_mass if r.status == "placed" else math.inf for r in results]
+    assert summary["success"]["band_2g"] == ex.success_rate(finals, target, 2.0)
+    assert summary["counts"]["placed"] == sum(r.status == "placed" for r in results)
+    assert summary["counts"]["regrasped"] == sum(r.retries > 0 for r in results)
 
 
 def test_paired_difference_of_identical_arms_is_zero(sim_config):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entpick import mdn, pipeline, sim
-from entpick.pipeline import ControllerConfig, EpisodeConfig
+from entpick.pipeline import EpisodeConfig
 from entpick.select import SelectedGrasp
 from entpick.sim import GraspOutcome, GripperLoad, ScaleState
 
@@ -13,56 +13,55 @@ from entpick.sim import GraspOutcome, GripperLoad, ScaleState
 # ---------------------------------------------------------------- controller
 
 def test_controller_endpoints_and_midpoint():
-    cfg = ControllerConfig(v_min=0.5, v_max=2.0)
-    assert pipeline.controller_speed(30.0, 22.0, 30.0, cfg) == 2.0
-    assert pipeline.controller_speed(24.0, 22.0, 30.0, cfg) == 0.5
-    assert pipeline.controller_speed(27.0, 22.0, 30.0, cfg) == pytest.approx(1.25)
+    params = sim.PostgraspParams(v_min=0.5, v_max=2.0)
+    assert pipeline.controller_speed(30.0, 22.0, 30.0, params) == 2.0
+    assert pipeline.controller_speed(24.0, 22.0, 30.0, params) == 0.5
+    assert pipeline.controller_speed(27.0, 22.0, 30.0, params) == pytest.approx(1.25)
 
 
 def test_controller_precondition_errors():
-    cfg = ControllerConfig()
+    params = sim.PostgraspParams()
     with pytest.raises(ValueError):
-        pipeline.controller_speed(31.0, 22.0, 30.0, cfg)   # current > start
+        pipeline.controller_speed(31.0, 22.0, 30.0, params)   # current > start
     with pytest.raises(ValueError):
-        pipeline.controller_speed(-1.0, 22.0, 30.0, cfg)   # current < 0
+        pipeline.controller_speed(-1.0, 22.0, 30.0, params)   # current < 0
     with pytest.raises(ValueError):
-        pipeline.controller_speed(23.0, 22.0, 23.5, cfg)   # start <= target + band
+        pipeline.controller_speed(23.0, 22.0, 23.5, params)   # start <= target + band
 
 
 @given(st.floats(0.0, 1.0), st.floats(5.0, 50.0), st.floats(0.1, 30.0))
 @settings(max_examples=100, deadline=None)
 def test_controller_bounded_and_monotone(frac, target, excess):
-    cfg = ControllerConfig(v_min=0.5, v_max=2.0)
-    start = target + cfg.stop_band_g + excess
-    floor = target + cfg.stop_band_g
+    params = sim.PostgraspParams(v_min=0.5, v_max=2.0)
+    floor = target + pipeline.STOP_BAND_G
+    start = floor + excess
     current = floor + frac * (start - floor)
-    v = pipeline.controller_speed(current, target, start, cfg)
-    assert cfg.v_min <= v <= cfg.v_max
-    lower = pipeline.controller_speed(max(floor, current - 0.5 * excess), target, start, cfg)
+    v = pipeline.controller_speed(current, target, start, params)
+    assert params.v_min <= v <= params.v_max
+    lower = pipeline.controller_speed(max(floor, current - 0.5 * excess), target, start, params)
     assert lower <= v + 1e-12
 
 
 # ---------------------------------------------------------------- run_postgrasp
 
 def test_postgrasp_skips_when_within_band():
-    cfg = ControllerConfig()
     load = GripperLoad([23.0])
     scale = ScaleState()
-    final, trace = pipeline.run_postgrasp(load, 22.0, scale, cfg, np.random.default_rng(0))
+    final, trace = pipeline.run_postgrasp(load, 22.0, scale, sim.PostgraspParams(),
+                                          np.random.default_rng(0))
     assert trace == []
     assert final == 23.0
 
 
 def test_postgrasp_reaches_band_with_bounded_overshoot():
     params = sim.PostgraspParams()
-    cfg = ControllerConfig(v_min=params.v_min, v_max=params.v_max)
     q_max = sim.spines_drop_q99(params)
     rng = np.random.default_rng(101)
     load = GripperLoad([2.5] * 12)  # 30 g
     scale = ScaleState()
-    final, trace = pipeline.run_postgrasp(load, 22.0, scale, cfg, rng, params)
+    final, trace = pipeline.run_postgrasp(load, 22.0, scale, params, rng)
     assert len(trace) > 0
-    assert final < 24.0 + q_max
+    assert final < 22.0 + pipeline.STOP_BAND_G + q_max
     # mass ledger: start = final + discarded
     assert 30.0 - final == pytest.approx(scale.true_discarded, abs=1e-9)
 
@@ -71,13 +70,12 @@ def test_postgrasp_without_spines_can_undershoot():
     # clumped loads without spines fall in uncontrollable lumps: over many
     # seeded runs some episodes end below target - 2 g
     params = sim.PostgraspParams()
-    cfg = ControllerConfig(v_min=params.v_min, v_max=params.v_max)
     undershoots = 0
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         load = GripperLoad([4.0, 9.0, 5.0, 7.0, 6.0], spines_enabled=False)  # 31 g
         scale = ScaleState()
-        final, _ = pipeline.run_postgrasp(load, 22.0, scale, cfg, rng, params)
+        final, _ = pipeline.run_postgrasp(load, 22.0, scale, params, rng)
         if final < 20.0:
             undershoots += 1
     assert undershoots > 0
@@ -85,11 +83,10 @@ def test_postgrasp_without_spines_can_undershoot():
 
 def test_postgrasp_true_mass_monotone_along_trace():
     params = sim.PostgraspParams()
-    cfg = ControllerConfig(v_min=params.v_min, v_max=params.v_max)
     rng = np.random.default_rng(7)
     load = GripperLoad([2.5] * 16)
     scale = ScaleState()
-    final, trace = pipeline.run_postgrasp(load, 30.0, scale, cfg, rng, params)
+    final, trace = pipeline.run_postgrasp(load, 30.0, scale, params, rng)
     drops = [d for _, _, d in trace]
     assert all(d >= 0 for d in drops)
     assert final == pytest.approx(40.0 - sum(drops), abs=1e-9)
@@ -174,11 +171,10 @@ def test_postgrasp_not_engaged_just_below_threshold(forced_episode):
 
 def test_retry_cap_marks_failed(forced_episode):
     model, heap, cfg = forced_episode([10.0] * 20)
-    cfg.retry_cap = 3
     result = pipeline.run_inference_episode(model, heap, 22.0, 1.0, cfg,
                                             np.random.default_rng(0))
     assert result.status == "failed_to_grasp"
-    assert result.retries == 4
+    assert result.retries == pipeline.RETRY_CAP + 1
     assert result.placed_g == 0.0
 
 
