@@ -262,16 +262,20 @@ def _table1_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice):
 
 def _run_index(episode, selects, sim_config, model, arms, values, heap_seed, ops_seed):
     """Every arm x cell of one episode index, arm-major: one heap build, and
-    each arm x cell on its own copy with a fresh generator on the same ops
-    seed. A study that selects scores the fresh heap once for all of them,
-    since scoring reads neither the target nor alpha."""
+    each arm x cell on a fresh heap with a fresh generator on the same ops
+    seed. Every arm x cell but the last gets a copy; the last takes the
+    built heap itself, which nothing reads after it. A study that selects
+    scores the fresh heap once for all of them, since scoring reads neither
+    the target nor alpha."""
     heap = init_heap(sim_config, heap_seed)
     shared = {}
     if selects:
         shared["lattice"] = _score_lattice(model, heap, SelectionConfig(target_mass_g=0.0),
                                            sim_config.clearance_mm)
-    return [episode(sim_config, model, heap.copy(), ops_seed, value, **shared, **kw)
-            for kw in arms for value in values]
+    jobs = [(kw, value) for kw in arms for value in values]
+    return [episode(sim_config, model, heap if i == len(jobs) - 1 else heap.copy(), ops_seed,
+                    value, **shared, **kw)
+            for i, (kw, value) in enumerate(jobs)]
 
 
 def _map_episodes(episode, rows, workers: int) -> list:

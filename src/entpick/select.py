@@ -21,6 +21,10 @@ from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP,
                   batch_unit_medians, clears_floor, height_units,
                   local_median_height, observe_patch)
 
+# depths and heights meet in the capture channel as integers of 0.05 mm:
+# a 0.1 mm height unit is 2 of them, a depth of z cm is 200 z
+DEPTH_UNITS_PER_CM = 200
+
 
 @dataclass
 class SelectionConfig:
@@ -38,6 +42,10 @@ class SelectionConfig:
         zs = tuple(self.z_candidates_cm)
         if not zs or list(zs) != sorted(zs):
             raise ValueError("z candidates must be a non-empty sorted list")
+        for z in zs:
+            if abs(z * DEPTH_UNITS_PER_CM - round(z * DEPTH_UNITS_PER_CM)) > 1e-9:
+                raise ValueError(f"z_candidates_cm entries must be whole multiples of "
+                                 f"{1 / DEPTH_UNITS_PER_CM} cm, got {z!r}")
         if self.margin_px < PATCH_MARGIN:
             raise ValueError(f"margin must be at least {PATCH_MARGIN} px so patches fit")
         self.z_candidates_cm = zs
@@ -63,13 +71,19 @@ def _axis_points(length: int, margin: int, stride: int) -> list:
     return [start + i * stride for i in range(n)]
 
 
+def _lattice_points(heap_dims: tuple, config: SelectionConfig) -> list:
+    """(x, y) lattice in row-major order (y rows, then x). A stride wider
+    than the interior leaves one centred point."""
+    xs = _axis_points(heap_dims[0], config.margin_px, config.stride_px)
+    ys = _axis_points(heap_dims[1], config.margin_px, config.stride_px)
+    return [(x, y) for y in ys for x in xs]
+
+
 def enumerate_candidates(heap_dims: tuple, config: SelectionConfig) -> list:
     """(x, y, z) lattice in deterministic row-major order (y rows, then x,
-    then z). A stride wider than the interior leaves one centred point."""
-    w, d = heap_dims[0], heap_dims[1]
-    xs = _axis_points(w, config.margin_px, config.stride_px)
-    ys = _axis_points(d, config.margin_px, config.stride_px)
-    return [(x, y, z) for y in ys for x in xs for z in config.z_candidates_cm]
+    then z)."""
+    return [(x, y, z) for x, y in _lattice_points(heap_dims, config)
+            for z in config.z_candidates_cm]
 
 
 def _reduce_mixture(model, pi, mu, sigma):
@@ -95,6 +109,27 @@ def score_candidate(model: mdn.ModelParams, heap: HeapState, x: int, y: int,
     return mdn.mixture_moments(mix)
 
 
+def _capture_sums(units, cx, cy, shape, tips):
+    """Exact capture sums over footprints of an integer height grid.
+
+    Footprint i is ``units[cx[i]:cx[i] + cw, cy[i]:cy[i] + cl]`` and
+    ``tips[i, j]`` a tip plane in half units of the grid. Returns the int64
+    sums of max(2u - t, 0) over each footprint, shaped like ``tips``. Since
+    max(a, 0) = a + max(-a, 0), each sum is 2 * sum(u) - n * t plus
+    sum(max(t - 2u, 0)), and that last term is computed only where the
+    footprint's lowest cell lies below the plane: one gather, one sum and one
+    minimum per footprint, whatever the number of planes.
+    """
+    cells = np.lib.stride_tricks.sliding_window_view(units, shape)[cx, cy].reshape(len(cx), -1)
+    sums = 2 * cells.sum(axis=1)[:, None] - cells.shape[1] * tips
+    below = 2 * cells.min(axis=1)[:, None] < tips
+    for j in range(tips.shape[1]):
+        rows = np.flatnonzero(below[:, j])
+        if rows.size:
+            sums[rows, j] += np.maximum(tips[rows, j, None] - 2 * cells[rows], 0).sum(axis=1)
+    return sums
+
+
 def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     """Vectorised scoring of an xy lattice x z list. Returns (mu, sigma)
     arrays of shape (n_xy, n_z) matching score_candidate pointwise.
@@ -102,9 +137,14 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     No window is materialised. The heights are converted once to integer
     0.1 mm units, the unit ``local_median_height`` uses, and
     ``batch_unit_medians`` reads every window's exact median off strip
-    histograms of that grid. Pooled block means come from a summed-area
-    table (median subtraction commutes with mean pooling), and the capture
-    channel gathers only the central footprint slice of each window.
+    histograms of that grid, slid from one row of windows to the next.
+    Pooled block means come from a summed-area table (median subtraction
+    commutes with mean pooling). The capture channel is exact integer
+    arithmetic in 0.05 mm: with 2M the doubled median and t = 2M - 200 z the
+    tip plane, a footprint of n cells captures
+    (2 sum(u) - n t + sum(max(t - 2u, 0))) / 20 mm, and ``_capture_sums``
+    gathers each footprint once for every depth. The depths must be whole
+    multiples of 0.005 cm, as ``SelectionConfig`` checks.
     """
     n_xy = len(xy_points)
     n_z = len(z_list)
@@ -114,10 +154,10 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     iy = np.fromiter((y - m for _, y in xy_points), dtype=int, count=n_xy)
 
     units_grid = height_units(heap.heights)
-    medians = batch_unit_medians(units_grid, ix, iy, (side, side)) / 10.0
+    median_units = batch_unit_medians(units_grid, ix, iy, (side, side))
+    medians = median_units / 10.0
 
-    sat = np.zeros((heap.heights.shape[0] + 1, heap.heights.shape[1] + 1))
-    sat[1:, 1:] = heap.heights.cumsum(axis=0).cumsum(axis=1)
+    sat = mdn._summed_area(heap.heights)
     s_out = model.config.pooled_side
     bounds = np.append((np.arange(s_out) * side) // s_out, side)
     corners = sat[np.add.outer(ix, bounds)[:, :, None],
@@ -131,12 +171,10 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     cols = [np.repeat(pooled, n_z, axis=0)]
     if model.config.capture_window_mm is not None:
         cw, cl = (int(v) for v in model.config.capture_window_mm)
-        sub = np.lib.stride_tricks.sliding_window_view(units_grid, (cw, cl))[
-            ix + (m - cw // 2), iy + (m - cl // 2)]
-        rel = sub / 10.0 - medians[:, None, None]
-        cap = np.empty((n_xy, n_z))
-        for j, plane in enumerate(z_arr * 10.0):
-            cap[:, j] = np.maximum(rel + plane, 0.0).sum(axis=(1, 2)) * 1e-3
+        depth_units = np.rint(z_arr * DEPTH_UNITS_PER_CM).astype(np.int64)
+        tips = (2 * median_units).astype(np.int64)[:, None] - depth_units
+        sums = _capture_sums(units_grid, ix + (m - cw // 2), iy + (m - cl // 2), (cw, cl), tips)
+        cap = sums / 20.0 * 1e-3
         cols.append((cap.reshape(-1) * mdn.CAPTURE_SCALE)[:, None])
     cols.append(np.tile(z_arr, n_xy)[:, None])
     feats = np.hstack(cols)
@@ -170,7 +208,7 @@ def _score_lattice(model, heap, config, clearance_mm):
     cands = enumerate_candidates(heap.tray_mm, config)
     if not cands:
         return cands, np.empty(0), np.empty(0)
-    xy_points = list(dict.fromkeys((x, y) for x, y, _ in cands))
+    xy_points = _lattice_points(heap.tray_mm, config)
     mu, sigma = _score_grid(model, heap, xy_points, config.z_candidates_cm, clearance_mm)
     return cands, mu.ravel(), sigma.ravel()
 

@@ -492,13 +492,17 @@ def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
     float64 medians in the grid's units, equal to ``np.median`` of each
     window (half-integral when the two middle ranks differ).
 
-    The windows are taken one distinct ``iy`` at a time. Their band of rows
-    is cut into column strips of width g = gcd(sx, x offsets), so that each
-    window is a whole run of strips. One ``bincount`` gives every strip's
-    histogram over the band's value range; prefix sums along x then give any
-    run's cumulative counts by one subtraction, and both middle ranks are
-    read off them. Working memory is one (strips x value range) table per
-    band, whatever the number and area of the windows.
+    The rows every window spans are cut into column strips of width
+    g = gcd(sx, x offsets), so that each window is a whole run of strips.
+    The windows are taken one distinct ``iy`` at a time, in increasing
+    order, and one histogram per strip is kept over the sy columns of the
+    current band. Moving to the next band adds the columns that enter and
+    subtracts the ones that leave; only a band that does not overlap the
+    previous one is counted afresh. A window's histogram is the sum of its
+    run of strip histograms, one matrix product for all windows of a band,
+    and both middle ranks are read off its cumulative counts. Working memory
+    is one (strips x value range) table and one (windows x strips) 0/1
+    matrix, whatever the area of the windows.
     """
     units = np.asarray(units)
     ix = np.asarray(ix, dtype=np.intp).reshape(-1)
@@ -515,22 +519,39 @@ def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
     p = sx * sy
     k_lo = (p + 1) // 2 - 1
     k_hi = p // 2
-    for y0 in np.unique(iy):
-        rows = np.flatnonzero(iy == y0)
-        x0 = ix[rows].min()
-        off = ix[rows] - x0
-        g = math.gcd(sx, *off.tolist())
-        band = units[x0:x0 + off.max() + sx, y0:y0 + sy].astype(np.intp)
-        lo = band.min()
-        span = int(band.max() - lo) + 1
-        n_strips = band.shape[0] // g
-        # bin key: strip index * span + (value - lo)
-        band += (np.arange(band.shape[0]) // g * span - lo)[:, None]
-        hist = np.bincount(band.ravel(), minlength=n_strips * span).reshape(n_strips, span)
-        prefix = np.zeros((n_strips + 1, span), dtype=np.int64)
-        np.cumsum(hist, axis=0, out=prefix[1:])
+    x0 = ix.min()
+    off = ix - x0
+    g = math.gcd(sx, *off.tolist())
+    y_lo = iy.min()
+    region = units[x0:x0 + off.max() + sx, y_lo:iy.max() + sy]
+    n_strips = region.shape[0] // g
+    strips = np.arange(n_strips)
+    # window i is the run of strips off[i] // g up to (off[i] + sx) // g
+    member = ((strips >= (off // g)[:, None])
+              & (strips < ((off + sx) // g)[:, None])).astype(float)
+    lo = int(region.min())
+    span = int(region.max()) - lo + 1
+    # bin key: strip index * span + (value - lo)
+    key_base = (np.arange(region.shape[0]) // g * span - lo)[:, None]
+
+    def keys(c0, c1):
+        k = region[:, c0:c1].astype(np.intp)
+        k += key_base
+        return k.ravel()
+
+    # float64 counts, so that one BLAS product sums each window's strips; they
+    # stay whole numbers far below 2**53, so every sum is exact
+    prev = None
+    for y0 in np.unique(iy) - y_lo:
+        if prev is None or y0 >= prev + sy:
+            hist = np.bincount(keys(y0, y0 + sy), minlength=n_strips * span).astype(float)
+        else:
+            np.add.at(hist, keys(prev + sy, y0 + sy), 1.0)
+            np.subtract.at(hist, keys(prev, y0), 1.0)
+        prev = y0
+        rows = np.flatnonzero(iy == y0 + y_lo)
         # counts of values <= lo + v inside each window of the band
-        below = np.cumsum(prefix[(off + sx) // g] - prefix[off // g], axis=1)
+        below = np.cumsum(member[rows] @ hist.reshape(n_strips, span), axis=1)
         v_lo = np.count_nonzero(below <= k_lo, axis=1)
         v_hi = np.count_nonzero(below <= k_hi, axis=1)
         out[rows] = (v_lo + v_hi) / 2.0 + lo

@@ -251,6 +251,43 @@ def test_episode_index_shares_one_heap_and_ops_seed(sim_config, monkeypatch):
     assert len({s[0] for s in starts}) == 30
 
 
+def test_episode_index_copies_all_but_the_last_heap(sim_config, trained_model, monkeypatch):
+    copies, builds = [], []
+    real_copy, real_init = sim.HeapState.copy, ex.init_heap
+
+    def counting_copy(heap):
+        copies.append(heap)
+        return real_copy(heap)
+
+    def recording_init(*args, **kwargs):
+        builds.append(real_init(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(sim.HeapState, "copy", counting_copy)
+    monkeypatch.setattr(ex, "init_heap", recording_init)
+    starts = []
+
+    def recording_episode(sim_cfg, model, heap, rng_seed, value, **kw):
+        starts.append((heap, heap.state_digest()))
+        sim.execute_grasp(heap, 200, 150, 2.0, np.random.default_rng(rng_seed), sim_cfg)
+        return value
+
+    arms = ({"spines": False}, {"spines": True})
+    values = (10.0, 20.0, 30.0)
+    assert ex._run_index(recording_episode, False, sim_config, None, arms, values,
+                         4, 5) == list(values) * 2
+    # 2 arms x 3 cells: five copies, then the built heap itself
+    assert len(copies) == 5 and len(builds) == 1
+    assert [h for h, _ in starts][-1] is builds[0]
+    assert len({id(h) for h, _ in starts}) == 6
+    assert len({d for _, d in starts}) == 1
+
+    # one arm x one cell: `entpick run` copies no heap
+    copies.clear()
+    summary, _ = ex.run_episode_batch(sim_config, trained_model, 20.0, 1.0, 4, seed=3)
+    assert copies == [] and summary["episodes"] == 4
+
+
 def _reference_report(p, sim_config, model):
     """The preset's cells, regrasp rows and counts from a loop that builds
     the heap again from the shared seeds for every arm x cell and selects

@@ -54,6 +54,16 @@ def test_row_major_order_deterministic():
     assert cands == sorted(cands, key=lambda c: (c[1], c[0], c[2]))
 
 
+def test_depths_must_be_whole_multiples_of_005_cm():
+    for z in (2.001, 2.0049, 3.1234):
+        with pytest.raises(ValueError, match="z_candidates_cm"):
+            SelectionConfig(target_mass_g=20.0, z_candidates_cm=(2.0, z))
+    # the shipped depths, and decimal multiples of 0.005 cm that float
+    # arithmetic does not scale to exact integers (2.345 * 200 != 469)
+    for zs in (sim.Z_INFER_DEEP, sim.Z_POOL_DEEP, (0.005, 2.345, 3.995)):
+        assert SelectionConfig(target_mass_g=20.0, z_candidates_cm=zs).z_candidates_cm == zs
+
+
 # ---------------------------------------------------------------- score_candidate
 
 @pytest.fixture(scope="module")
@@ -318,6 +328,84 @@ def test_selection_matches_partition_oracle_on_mutated_heap(mutated_heap, traine
     assert got is not None
     assert got == select.select_grasp(trained_model, mutated_heap, scfg)
     assert got_report == select.selection_report(trained_model, mutated_heap, scfg)
+
+
+# ---------------------------------------------------------------- the capture kernel
+
+CAPTURE_SHAPE = (40, 24)
+
+
+def lattice_footprints(heap, zs):
+    """Integer grid, footprint origins and tip planes of the default lattice,
+    as ``_score_grid`` builds them for the default capture window."""
+    xy = np.array(select._lattice_points(heap.tray_mm, SelectionConfig(target_mass_g=20.0)))
+    m = sim.PATCH_MARGIN
+    units = sim.height_units(heap.heights)
+    med = sim.batch_unit_medians(units, xy[:, 0] - m, xy[:, 1] - m, (2 * m, 2 * m))
+    tips = (2 * med).astype(np.int64)[:, None] - np.rint(np.asarray(zs) * 200).astype(np.int64)
+    cw, cl = CAPTURE_SHAPE
+    return xy, units, xy[:, 0] - cw // 2, xy[:, 1] - cl // 2, tips
+
+
+def brute_capture_sums(units, cx, cy, tips):
+    """Reference: sum of max(2u - t, 0) over each materialised footprint."""
+    cw, cl = CAPTURE_SHAPE
+    out = np.empty_like(tips)
+    for i, (a, b) in enumerate(zip(cx, cy)):
+        twice = 2 * units[a:a + cw, b:b + cl]
+        for j, t in enumerate(tips[i]):
+            out[i, j] = np.maximum(twice - t, 0).sum()
+    return out
+
+
+def test_capture_sums_exact_on_mutated_heap(mutated_heap):
+    _, units, cx, cy, tips = lattice_footprints(mutated_heap, sim.Z_INFER_DEEP)
+    got = select._capture_sums(units, cx, cy, CAPTURE_SHAPE, tips)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, brute_capture_sums(units, cx, cy, tips))
+
+
+def test_capture_sums_exact_below_the_tip_plane():
+    heap = sim.init_heap(sim.SimConfig(), seed=5)
+    # a pit 30 mm deep, deeper than the 20 mm of the shallowest depth
+    heap.heights[195:215, 140:160] -= 30.0
+    _, units, cx, cy, tips = lattice_footprints(heap, (2.0, 3.0, 4.0))
+    got = select._capture_sums(units, cx, cy, CAPTURE_SHAPE, tips)
+    assert np.array_equal(got, brute_capture_sums(units, cx, cy, tips))
+    # the correction term sum(max(t - 2u, 0)) is what the kernel adds to
+    # 2 sum(u) - n t; every footprint over the pit needs it at 2 cm
+    cw, cl = CAPTURE_SHAPE
+    footprint_sums = np.array([units[a:a + cw, b:b + cl].sum() for a, b in zip(cx, cy)])
+    correction = got - (2 * footprint_sums[:, None] - cw * cl * tips)
+    over_pit = (cx < 215) & (cx + cw > 195) & (cy < 160) & (cy + cl > 140)
+    assert over_pit.any() and (correction[over_pit, 0] > 0).all()
+    assert (correction >= 0).all()
+
+
+def test_capture_sums_exact_at_the_lowest_cell():
+    # planes just below, at and just above each footprint's lowest cell,
+    # where the correction term starts
+    rng = np.random.default_rng(4)
+    units = rng.integers(0, 12, size=(30, 26))
+    sx, sy = 5, 4
+    cx, cy = (a.ravel() for a in np.meshgrid(np.arange(30 - sx + 1), np.arange(26 - sy + 1),
+                                             indexing="ij"))
+    cells = [units[a:a + sx, b:b + sy] for a, b in zip(cx, cy)]
+    tips = 2 * np.array([c.min() for c in cells])[:, None] + np.arange(-2, 4)
+    want = np.array([[np.maximum(2 * c - t, 0).sum() for t in row] for c, row in zip(cells, tips)])
+    assert np.array_equal(select._capture_sums(units, cx, cy, (sx, sy), tips), want)
+
+
+def test_capture_matches_patch_capture_volumes_on_fresh_heap():
+    heap = sim.init_heap(sim.SimConfig(), seed=9)
+    zs = sim.Z_INFER_DEEP
+    xy, units, cx, cy, tips = lattice_footprints(heap, zs)
+    cap = select._capture_sums(units, cx, cy, CAPTURE_SHAPE, tips) / 20.0 * 1e-3
+    for i, (x, y) in enumerate(xy):
+        patch = sim.observe_patch(heap, int(x), int(y)).heights
+        want = mdn.capture_volumes(np.repeat(patch[None], len(zs), axis=0), np.array(zs),
+                                   CAPTURE_SHAPE)
+        np.testing.assert_allclose(cap[i], want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- the floor rule

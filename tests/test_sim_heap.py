@@ -351,6 +351,26 @@ def test_window_medians_match_numpy(case):
     assert np.array_equal(got, window_medians(units, ix, iy, shape))
 
 
+@pytest.mark.parametrize("shape", [(7, 20), (8, 21)])
+def test_window_medians_slide_and_rebuild(shape):
+    """Bands at iy 5, 13 and 25 overlap their predecessor, so the strip
+    histograms slide (by 5, 8 and 12 columns). The bands at 50 and 74 do
+    not (25 + sy <= 50, 50 + sy <= 74), so they are counted afresh, and 78
+    slides again. Each band has its own set of x offsets."""
+    sx, sy = shape
+    rng = np.random.default_rng(sx)
+    units = rng.integers(100, 700, size=(60, 100))
+    units[20:30, 40:60] = 50      # a pit the later bands slide over
+    bands = {0: [0, 3, 17], 5: [10], 13: [0, 14, 40, 60 - sx],
+             25: [7, 21], 50: [0, 35], 74: [4], 78: [4, 11, 46]}
+    ix = np.array([x for xs in bands.values() for x in xs])
+    iy = np.array([y for y, xs in bands.items() for _ in xs])
+    # scrambled order: the kernel sorts the bands itself
+    order = rng.permutation(ix.size)
+    got = sim.batch_unit_medians(units, ix[order], iy[order], shape)
+    assert np.array_equal(got, window_medians(units, ix[order], iy[order], shape))
+
+
 def test_window_medians_reject_windows_outside_grid():
     units = np.zeros((20, 10), dtype=np.int64)
     for ix, iy in (([-1], [0]), ([0], [-1]), ([5], [0]), ([0], [1])):
