@@ -296,8 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("ENTPICK_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("ENTPICK_LOG", "WARNING")
+    # checked here, not by basicConfig: it ignores the level once a handler exists
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        _print_error(f"ENTPICK_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL, "
+                     f"got {level!r}")
+        return 2
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,7 +3,8 @@
 Maps a median-normalised height patch plus the gripper insertion depth to a
 K-component Gaussian mixture over the grasped mass. The patch is adaptively
 mean-pooled to a small square, flattened, concatenated with a rectified
-capture volume and the depth, and fed through a tanh MLP whose head emits
+capture volume over the fixed ``CAPTURE_WINDOW_MM`` gripper footprint at the
+patch centre and the depth, and fed through a tanh MLP whose head emits
 mixture logits, component means (grams), and pre-softplus spreads. Training
 minimises the negative log likelihood of the observed masses with exact
 reverse-mode gradients and an adaptive-moment optimizer; flips and random
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .sim import (PATCH_SIDE, PatchObservation, check_config_keys, check_int,
-                  check_number, check_tuple)
+                  check_number)
 
 CROP_SIDE = 150
 HEIGHT_SCALE = 0.1   # mm -> feature units
@@ -136,13 +137,7 @@ class ModelConfig:
     epochs: int = 400
     batch_size: int = 16
     seed: int = 0
-    reduction: str = "moments"     # or "dominant"
     fixed_sigma: float | None = None
-    mu_init_g: tuple = (5.0, 35.0)
-    # fixed "capture" unit: a gripper-footprint-shaped kernel at the patch
-    # centre, rectified against the insertion plane and summed - the
-    # hand-sized stand-in for a learned convolution. None disables it.
-    capture_window_mm: tuple | None = (40.0, 24.0)
 
     def __post_init__(self):
         check_int("ModelConfig.K", self.K, 1)
@@ -163,20 +158,8 @@ class ModelConfig:
         check_int("ModelConfig.epochs", self.epochs, 0)
         check_int("ModelConfig.batch_size", self.batch_size, 1)
         check_int("ModelConfig.seed", self.seed, 0)
-        if self.reduction not in ("moments", "dominant"):
-            raise ValueError(f"ModelConfig.reduction must be 'moments' or 'dominant', "
-                             f"got {self.reduction!r}")
         if self.fixed_sigma is not None:
             check_number("ModelConfig.fixed_sigma", self.fixed_sigma, 0, lo_open=True)
-        self.mu_init_g = check_tuple("ModelConfig.mu_init_g", self.mu_init_g, 2)
-        if self.capture_window_mm is not None:
-            # the window must fit the crop: the variant table reads it as
-            # an exact rectangle of every crop
-            self.capture_window_mm = check_tuple("ModelConfig.capture_window_mm",
-                                                 self.capture_window_mm, 2, 1, CROP_SIDE)
-            if not all(float(side).is_integer() for side in self.capture_window_mm):
-                raise ValueError(f"ModelConfig.capture_window_mm sides must be integers, "
-                                 f"got {self.capture_window_mm}")
 
     @property
     def pooled_side(self) -> int:
@@ -184,8 +167,7 @@ class ModelConfig:
 
     @property
     def n_features(self) -> int:
-        extra = 2 if self.capture_window_mm is not None else 1
-        return self.pooled_side ** 2 + extra
+        return self.pooled_side ** 2 + 2   # pooled blocks, capture volume, depth
 
     def layer_dims(self) -> list:
         return [self.n_features, *self.hidden_sizes, 3 * self.K]
@@ -211,9 +193,13 @@ class ModelParams:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.config.n_params(),):
+        if self.theta.ndim != 1:
+            raise ValueError(f"theta must be a flat list of numbers, got shape {self.theta.shape}")
+        if self.theta.size != self.config.n_params():
             raise ValueError(
                 f"theta has {self.theta.size} entries, architecture needs {self.config.n_params()}")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("theta has non-finite entries")
 
 
 @dataclass
@@ -243,9 +229,12 @@ def _unpack(theta: np.ndarray, config: ModelConfig):
     return layers
 
 
+INIT_MEANS_G = (5.0, 35.0)   # the span init_params spreads component means over
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initial parameters. Component means start spread over
-    mu_init_g so the mixture does not collapse before it can specialise."""
+    INIT_MEANS_G so the mixture does not collapse before it can specialise."""
     rng = np.random.default_rng(config.seed)
     dims = config.layer_dims()
     chunks = []
@@ -258,7 +247,7 @@ def init_params(config: ModelConfig) -> ModelParams:
         b = np.zeros(n_out)
         if i == len(dims) - 2:
             k = config.K
-            lo, hi = config.mu_init_g
+            lo, hi = INIT_MEANS_G
             b[k:2 * k] = np.linspace(lo, hi, k) if k > 1 else [(lo + hi) / 2.0]
             b[2 * k:] = 2.0  # softplus(2) ~ 2.1 g initial spread
         chunks.append(b)
@@ -288,14 +277,18 @@ def pool_patches(patches: np.ndarray, side_out: int) -> np.ndarray:
 
 
 CAPTURE_SCALE = 0.1  # cm^3-ish capture volume -> feature units
+# the fixed "capture" unit: a gripper-footprint-shaped window at the patch
+# centre, rectified against the insertion plane and summed - the hand-sized
+# stand-in for a learned convolution
+CAPTURE_WINDOW_MM = (40, 24)
 
 
-def capture_volumes(patches: np.ndarray, depths_cm: np.ndarray,
-                    window_mm: tuple) -> np.ndarray:
-    """Rectified capture volume: sum over a centred window of the relative
-    height above the gripper tip plane, max(0, rel + 10 z), in 1e3 mm^3."""
+def capture_volumes(patches: np.ndarray, depths_cm: np.ndarray) -> np.ndarray:
+    """Rectified capture volume: sum over the centred CAPTURE_WINDOW_MM
+    window of the relative height above the gripper tip plane,
+    max(0, rel + 10 z), in 1e3 mm^3."""
     side = patches.shape[1]
-    cw, cl = int(window_mm[0]), int(window_mm[1])
+    cw, cl = CAPTURE_WINDOW_MM
     c = side // 2
     sub = patches[:, c - cw // 2:c + (cw + 1) // 2, c - cl // 2:c + (cl + 1) // 2]
     plane = (np.asarray(depths_cm, dtype=float) * 10.0)[:, None, None]
@@ -308,12 +301,8 @@ def features_from_rows(patches: np.ndarray, depths: np.ndarray, config: ModelCon
         raise ValueError(f"patch side must be {PATCH_SIDE} or {CROP_SIDE}, got {side}")
     depths = np.asarray(depths, dtype=float)
     pooled = pool_patches(patches, config.pooled_side) * HEIGHT_SCALE
-    cols = [pooled]
-    if config.capture_window_mm is not None:
-        cap = capture_volumes(patches, depths, config.capture_window_mm)
-        cols.append((cap * CAPTURE_SCALE)[:, None])
-    cols.append(depths[:, None])
-    return np.hstack(cols)
+    cap = capture_volumes(patches, depths) * CAPTURE_SCALE
+    return np.hstack([pooled, cap[:, None], depths[:, None]])
 
 
 def _obs_patch(obs: PatchObservation) -> np.ndarray:
@@ -378,16 +367,11 @@ def mdn_pdf(mix: MixtureParams, m) -> float | np.ndarray:
 
 
 def mixture_moments(mix: MixtureParams) -> tuple:
-    """Collapse a mixture to (mean, total std): the law-of-total-variance
-    reduction used by grasp selection."""
+    """Collapse a mixture to (mean, total std) by the law of total variance:
+    the pair grasp selection judges."""
     mu_bar = float(np.dot(mix.pi, mix.mu))
     var = float(np.dot(mix.pi, mix.sigma ** 2 + mix.mu ** 2) - mu_bar ** 2)
     return mu_bar, math.sqrt(max(var, 0.0))
-
-
-def dominant_component(mix: MixtureParams) -> tuple:
-    k = int(np.argmax(mix.pi))
-    return float(mix.mu[k]), float(mix.sigma[k])
 
 
 def _batch_features_masses(params: ModelParams, batch):
@@ -539,21 +523,19 @@ def _variant_features(rows, config: ModelConfig) -> np.ndarray:
     blocks = _variant_spans(bounds, ends)
     widths = (ends - bounds).astype(float)
     areas = (widths[:, None] * widths[None, :]).ravel()
-    if config.capture_window_mm is not None:
-        c = CROP_SIDE // 2
-        cw, cl = (int(v) for v in config.capture_window_mm)
-        cap_rows = _variant_spans([c - cw // 2], [c + (cw + 1) // 2])
-        cap_cols = _variant_spans([c - cl // 2], [c + (cl + 1) // 2])
+    c = CROP_SIDE // 2
+    cw, cl = CAPTURE_WINDOW_MM
+    cap_rows = _variant_spans([c - cw // 2], [c + (cw + 1) // 2])
+    cap_cols = _variant_spans([c - cl // 2], [c + (cl + 1) // 2])
 
     table = np.empty((len(rows), N_VARIANTS, config.n_features))
     for i, row in enumerate(rows):
         patch = np.asarray(row.patch, dtype=float)
         pooled = _variant_rect_sums(_summed_area(patch), blocks, blocks) / areas
         table[i, :, :side * side] = pooled * HEIGHT_SCALE
-        if config.capture_window_mm is not None:
-            rectified = np.maximum(patch + row.z_cm * 10.0, 0.0)
-            cap = _variant_rect_sums(_summed_area(rectified), cap_rows, cap_cols)[:, 0] * 1e-3
-            table[i, :, side * side] = cap * CAPTURE_SCALE
+        rectified = np.maximum(patch + row.z_cm * 10.0, 0.0)
+        cap = _variant_rect_sums(_summed_area(rectified), cap_rows, cap_cols)[:, 0] * 1e-3
+        table[i, :, side * side] = cap * CAPTURE_SCALE
         table[i, :, -1] = row.z_cm
     return table
 
@@ -675,6 +657,22 @@ def load_checkpoint(path) -> ModelParams:
     try:
         return ModelParams(np.array(doc["theta"], dtype=float),
                            ModelConfig.from_dict(doc["config"]),
-                           doc.get("training_log", {}))
+                           _check_training_log(doc.get("training_log", {})))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad checkpoint: {exc}") from exc
+
+
+def _check_training_log(log) -> dict:
+    """The checkpoint's training log, if it is a JSON object whose
+    ``train_masses_g`` (which the percentile studies read) is absent or a
+    list of finite non-negative numbers; otherwise ValueError naming the
+    field."""
+    if not isinstance(log, dict):
+        raise ValueError(f"training_log must be a JSON object, got {type(log).__name__}")
+    masses = log.get("train_masses_g", [])
+    if not isinstance(masses, list):
+        raise ValueError(f"training_log.train_masses_g must be a list, "
+                         f"got {type(masses).__name__}")
+    for m in masses:
+        check_number("training_log.train_masses_g entry", m, 0)
+    return log

@@ -86,11 +86,8 @@ def enumerate_candidates(heap_dims: tuple, config: SelectionConfig) -> list:
             for z in config.z_candidates_cm]
 
 
-def _reduce_mixture(model, pi, mu, sigma):
-    if model.config.reduction == "dominant":
-        idx = pi.argmax(axis=1)
-        rows = np.arange(pi.shape[0])
-        return mu[rows, idx], sigma[rows, idx]
+def _reduce_mixture(pi, mu, sigma):
+    """Row-wise ``mdn.mixture_moments``: mean and law-of-total-variance std."""
     mu_bar = (pi * mu).sum(axis=1)
     var = (pi * (sigma ** 2 + mu ** 2)).sum(axis=1) - mu_bar ** 2
     return mu_bar, np.sqrt(np.maximum(var, 0.0))
@@ -104,8 +101,6 @@ def score_candidate(model: mdn.ModelParams, heap: HeapState, x: int, y: int,
         return 0.0, math.inf
     patch = observe_patch(heap, x, y)
     mix = mdn.mdn_forward(model, mdn.PatchObservation(patch.heights, z_cm))
-    if model.config.reduction == "dominant":
-        return mdn.dominant_component(mix)
     return mdn.mixture_moments(mix)
 
 
@@ -159,7 +154,7 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
 
     sat = mdn._summed_area(heap.heights)
     s_out = model.config.pooled_side
-    bounds = np.append((np.arange(s_out) * side) // s_out, side)
+    bounds = np.append(mdn._pool_bounds(side, s_out), side)
     corners = sat[np.add.outer(ix, bounds)[:, :, None],
                   np.add.outer(iy, bounds)[:, None, :]]
     block_sums = np.diff(np.diff(corners, axis=1), axis=2)
@@ -168,18 +163,16 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     pooled = (pooled - medians[:, None]) * mdn.HEIGHT_SCALE
 
     z_arr = np.asarray(z_list, dtype=float)
-    cols = [np.repeat(pooled, n_z, axis=0)]
-    if model.config.capture_window_mm is not None:
-        cw, cl = (int(v) for v in model.config.capture_window_mm)
-        depth_units = np.rint(z_arr * DEPTH_UNITS_PER_CM).astype(np.int64)
-        tips = (2 * median_units).astype(np.int64)[:, None] - depth_units
-        sums = _capture_sums(units_grid, ix + (m - cw // 2), iy + (m - cl // 2), (cw, cl), tips)
-        cap = sums / 20.0 * 1e-3
-        cols.append((cap.reshape(-1) * mdn.CAPTURE_SCALE)[:, None])
-    cols.append(np.tile(z_arr, n_xy)[:, None])
-    feats = np.hstack(cols)
+    cw, cl = mdn.CAPTURE_WINDOW_MM
+    depth_units = np.rint(z_arr * DEPTH_UNITS_PER_CM).astype(np.int64)
+    tips = (2 * median_units).astype(np.int64)[:, None] - depth_units
+    sums = _capture_sums(units_grid, ix + (m - cw // 2), iy + (m - cl // 2), (cw, cl), tips)
+    cap = sums / 20.0 * 1e-3
+    feats = np.hstack([np.repeat(pooled, n_z, axis=0),
+                       (cap.reshape(-1) * mdn.CAPTURE_SCALE)[:, None],
+                       np.tile(z_arr, n_xy)[:, None]])
     pi, mu_k, sigma_k = mdn._forward_batch(model, feats)
-    mu, sigma = _reduce_mixture(model, pi, mu_k, sigma_k)
+    mu, sigma = _reduce_mixture(pi, mu_k, sigma_k)
     mu = mu.reshape(n_xy, n_z)
     sigma = sigma.reshape(n_xy, n_z)
 

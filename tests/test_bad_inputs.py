@@ -7,6 +7,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,13 +100,12 @@ def test_model_config_names_unknown_key(key):
     assert repr(key) in str(info.value)
 
 
-@given(st.integers(1, crop_side), st.integers(1, crop_side), st.integers(0, 50),
-       st.integers(1, 64), st.lists(st.integers(1, 16), max_size=2),
+@given(st.integers(0, 50), st.integers(1, 64), st.lists(st.integers(1, 16), max_size=2),
        st.sampled_from([8, 16, 20, 40, 80, 160]))
 @FUZZ
-def test_model_config_accepts_valid_fields(cw, cl, epochs, batch, hidden, downsample):
-    doc = {"capture_window_mm": [cw, cl], "epochs": epochs, "batch_size": batch,
-           "hidden_sizes": hidden, "feature_downsample": downsample}
+def test_model_config_accepts_valid_fields(epochs, batch, hidden, downsample):
+    doc = {"epochs": epochs, "batch_size": batch, "hidden_sizes": hidden,
+           "feature_downsample": downsample}
     cfg = ModelConfig.from_dict(doc)
     assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
@@ -283,6 +286,36 @@ def test_checkpoint_truncated_or_mangled(workdir, checkpoint_doc, data, command)
     assert code == 2 and len(err) == 1 and "mangled.json" in err[0]
 
 
+MASSES = {"train_masses_g": [5.0, 10.0, 20.0, 30.0]}
+BAD_CHECKPOINT_FIELDS = {
+    "nan_theta": (lambda doc: {**doc, "theta": [math.nan] * len(doc["theta"]),
+                               "training_log": MASSES}, "theta has non-finite"),
+    "nested_theta": (lambda doc: {**doc, "theta": [doc["theta"]], "training_log": MASSES},
+                     "theta must be a flat list"),
+    "log_list": (lambda doc: {**doc, "training_log": []}, "training_log must be a JSON object"),
+    "masses_mixed": (lambda doc: {**doc, "training_log": {"train_masses_g": ["a", None]}},
+                     "train_masses_g"),
+    "masses_text": (lambda doc: {**doc, "training_log": {"train_masses_g": "5"}},
+                    "train_masses_g must be a list"),
+    "masses_inf": (lambda doc: {**doc, "training_log": {"train_masses_g": [5.0, math.inf]}},
+                   "train_masses_g"),
+    # written while ModelConfig had a `reduction` field
+    "removed_key": (lambda doc: {**doc, "config": {**doc["config"], "reduction": "moments"}},
+                    "'reduction'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CHECKPOINT_FIELDS))
+def test_checkpoint_bad_field_named(workdir, checkpoint_doc, name):
+    mangle, needle = BAD_CHECKPOINT_FIELDS[name]
+    path = write_json(workdir / f"{name}.json", mangle(checkpoint_doc))
+    with pytest.raises(ValueError, match=needle):
+        mdn.load_checkpoint(path)
+    code, err = cli_with_model(CHECKPOINT_COMMANDS[2], path, workdir / "never")
+    assert code == 2 and len(err) == 1
+    assert f"{name}.json" in err[0] and needle in err[0]
+
+
 # ---------------------------------------------------------------- datasets
 
 def with_row(dataset_path, line, **fields):
@@ -391,6 +424,20 @@ def test_cli_numeric_flag_out_of_range_exit_2(workdir, checkpoint_doc, argv, nee
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
     assert not list(workdir.glob("never_flags*"))
+
+
+@pytest.mark.parametrize("level", ["bogus", "10", ""])
+def test_cli_bad_log_level_exit_2(level):
+    """ENTPICK_LOG is read before the command line is parsed, so even
+    --version checks it."""
+    env = {**os.environ, "ENTPICK_LOG": level,
+           "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "entpick.cli", "--version"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ENTPICK_LOG")
+    assert "DEBUG, INFO, WARNING, ERROR or CRITICAL" in err[0]
 
 
 def test_cli_experiment_too_shallow_fill_one_line(workdir):

@@ -337,7 +337,7 @@ CAPTURE_SHAPE = (40, 24)
 
 def lattice_footprints(heap, zs):
     """Integer grid, footprint origins and tip planes of the default lattice,
-    as ``_score_grid`` builds them for the default capture window."""
+    as ``_score_grid`` builds them for the capture window."""
     xy = np.array(select._lattice_points(heap.tray_mm, SelectionConfig(target_mass_g=20.0)))
     m = sim.PATCH_MARGIN
     units = sim.height_units(heap.heights)
@@ -403,8 +403,7 @@ def test_capture_matches_patch_capture_volumes_on_fresh_heap():
     cap = select._capture_sums(units, cx, cy, CAPTURE_SHAPE, tips) / 20.0 * 1e-3
     for i, (x, y) in enumerate(xy):
         patch = sim.observe_patch(heap, int(x), int(y)).heights
-        want = mdn.capture_volumes(np.repeat(patch[None], len(zs), axis=0), np.array(zs),
-                                   CAPTURE_SHAPE)
+        want = mdn.capture_volumes(np.repeat(patch[None], len(zs), axis=0), np.array(zs))
         np.testing.assert_allclose(cap[i], want, rtol=0, atol=1e-12)
 
 

@@ -12,8 +12,6 @@ from entpick.sim import PatchObservation
 CONFIGS = {
     "default": {},
     "downsample40": {"feature_downsample": 40},
-    "odd_window": {"capture_window_mm": (41, 23)},
-    "no_capture": {"capture_window_mm": None},
 }
 
 
