@@ -225,6 +225,9 @@ def cmd_experiment(args) -> int:
     if preset_obj.targets is not None and not args.model:
         raise UsageError(f"{name} needs a trained model checkpoint")
     model = _load_model(args.model) if args.model else None
+    if preset_obj.targets is not None:
+        with _bad_input(f"model checkpoint {args.model}"):
+            experiments._targets_from_model(model, preset_obj.targets)
     cfg = _load_sim_config(args)
     report = experiments.run_experiment(preset_obj, cfg, model, workers=args.workers)
     _dump_json(report.to_dict(), args.out)

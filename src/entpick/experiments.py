@@ -321,8 +321,9 @@ STUDIES = {
 def _targets_from_model(model: mdn.ModelParams, percentiles) -> list:
     masses = model.training_log.get("train_masses_g")
     if not masses:
-        raise ValueError("model checkpoint carries no training masses; "
-                         "retrain or pass a model produced by train()")
+        raise ValueError("training_log.train_masses_g is missing or empty, and the "
+                         "percentile targets need it; retrain or pass a model "
+                         "produced by train()")
     return [nearest_rank_percentile(masses, p) for p in percentiles]
 
 

@@ -19,7 +19,12 @@ they are not; entangled clumps hanging outside the gripper area can let go
 whole in either mode. A scale model quantises, delays, and transiently
 overshoots the discarded-mass readings.
 
-All grasp/pre-grasp/post-grasp masses are computed from the exact height
+Every operation leaves heights on the 0.1 mm grid, through one of two
+write rules: removals take a quantised amount, capped at what each column
+holds (``_remove_into``); every other change sets a column to a grid
+height within the tray and lets its density absorb the rounding and the
+brim, so the column keeps exactly its mass (``_set_heights``). All
+grasp/pre-grasp/post-grasp masses are computed from the exact height
 deltas they apply, so mass is conserved to float precision across any
 operation sequence. Operations mutate the heap in place; all randomness
 flows through explicitly passed ``numpy.random.Generator`` instances.
@@ -121,6 +126,9 @@ class NoiseParams:
     crater_depth_mm: tuple = (3.0, 7.0)
 
     def __post_init__(self):
+        check_number("SimConfig.noise.amp_mm", self.amp_mm, 0)
+        check_number("SimConfig.noise.corr_mm", self.corr_mm, 0, lo_open=True)
+        check_number("SimConfig.noise.wear_mm", self.wear_mm, 0)
         self.craters = check_tuple("SimConfig.noise.craters", self.craters, 2, 0,
                                     ordered=True)
         self.crater_depth_mm = check_tuple("SimConfig.noise.crater_depth_mm",
@@ -135,6 +143,8 @@ class ClumpParams:
     r_mm: float = 14.0     # radius of the region a clump is torn from
 
     def __post_init__(self):
+        check_number("SimConfig.clump_lognormal.mu", self.mu)
+        check_number("SimConfig.clump_lognormal.sigma", self.sigma, 0)
         check_number("SimConfig.clump_lognormal.r_mm", self.r_mm, 0, lo_open=True)
 
     def mean_mass_g(self) -> float:
@@ -182,6 +192,7 @@ class ScaleParams:
         check_number("SimConfig.scale.rate_hz", self.rate_hz, 0, lo_open=True)
         check_number("SimConfig.scale.resolution_g", self.resolution_g, 0, lo_open=True)
         check_int("SimConfig.scale.lag", self.lag, 0)
+        check_number("SimConfig.scale.transient_gain", self.transient_gain, 0)
 
 
 @dataclass
@@ -273,6 +284,8 @@ class HeapState:
         w, d, h = self.tray_mm
         if self.heights.shape != (w, d):
             raise ValueError("height grid does not match tray dims")
+        if not (np.isfinite(self.heights).all() and np.isfinite(self.bulk_density).all()):
+            raise ValueError("heights and densities must be finite")
         if self.heights.min() < -1e-9 or self.heights.max() > h + 1e-6:
             raise ValueError("heights out of tray range")
         if self.entanglement.min() < 0 or self.entanglement.max() > 1:
@@ -646,43 +659,62 @@ def _check_floor_clearance(heap: HeapState, x, y, z_cm, clearance_mm):
 
 
 def _remove_into(heap, sl_x, sl_y, removal) -> float:
-    """Subtract a quantised removal height field; returns the exact mass taken."""
+    """Lower the columns by a removal height field, snapped so the heights
+    left lie on the 0.1 mm grid and capped at what each column holds;
+    returns the exact mass taken. The one write rule for removals."""
     sub_h = heap.heights[sl_x, sl_y]
-    removal = np.minimum(removal, sub_h)
-    mass = float(np.sum(heap.bulk_density[sl_x, sl_y] * removal) * CELL_MASS_PER_MM)
-    heap.heights[sl_x, sl_y] = sub_h - removal
+    left = np.maximum(quantize_height(sub_h - removal), 0.0)
+    mass = float(np.sum(heap.bulk_density[sl_x, sl_y] * (sub_h - left)) * CELL_MASS_PER_MM)
+    heap.heights[sl_x, sl_y] = left
     return mass
+
+
+def _set_heights(heap, sl_x, sl_y, height, mass, where=True) -> None:
+    """The one write rule for every height change other than a removal.
+
+    Columns in the mask ``where`` (True: the whole box) that hold mass
+    (``mass`` is rho * h per column, in g/cm^3 * mm) take ``height``
+    snapped to the 0.1 mm grid and clamped to [one quantum, tray depth],
+    and their density becomes mass / height, so each keeps exactly its
+    mass: the density absorbs the rounding and the brim. A column with no
+    mass gets height 0 and keeps its density. Cells outside ``where`` keep
+    their bits. ``height`` is overwritten."""
+    held = np.greater(mass, 0.0, out=np.zeros(mass.shape, bool), where=where)
+    np.round(height, 1, out=height)   # the bits of quantize_height
+    np.clip(height, HEIGHT_QUANTUM_MM, heap.tray_mm[2], out=height)
+    np.copyto(heap.bulk_density[sl_x, sl_y], mass / height, where=held)
+    np.copyto(height, 0.0, where=~held)
+    np.copyto(heap.heights[sl_x, sl_y], height, where=where)
 
 
 def _settle(heap: HeapState, sl_x, sl_y, mask) -> None:
     """Exposed material reverts to its fresh (settled) density; heights
     shrink to keep each column's mass exactly unchanged."""
-    h = heap.heights[sl_x, sl_y]
-    rho = heap.bulk_density[sl_x, sl_y]
-    fresh = heap.rho_fresh[sl_x, sl_y]
-    settled = quantize_height(h * rho / fresh)
-    apply = mask & (settled > 0) & (h > 0)
-    new_rho = np.where(apply, rho * h / np.where(settled > 0, settled, 1.0), rho)
-    heap.heights[sl_x, sl_y] = np.where(apply, settled, h)
-    heap.bulk_density[sl_x, sl_y] = new_rho
+    mass = heap.heights[sl_x, sl_y] * heap.bulk_density[sl_x, sl_y]
+    _set_heights(heap, sl_x, sl_y, mass / heap.rho_fresh[sl_x, sl_y], mass, mask)
 
 
 def _slump(heap: HeapState, sl_x, sl_y, strength, reach_mm) -> None:
     """Loose material slumps toward the local level after the gripper
     withdraws: the column-mass field relaxes toward its box average inside
     the disturbed window. Mass-exact up to one global rescale."""
-    depth = float(heap.tray_mm[2])
     rho = heap.bulk_density[sl_x, sl_y]
     m = rho * heap.heights[sl_x, sl_y]
     total = m.sum()
     if total <= 0:
         return
+    size = int(reach_mm)
+    rows = np.empty_like(m)
+    smooth = np.empty_like(m)
     for _ in range(3):
-        smooth = ndimage.uniform_filter(m, size=int(reach_mm), mode="nearest")
-        m = (1.0 - strength) * m + strength * smooth
-    np.minimum(m, rho * depth, out=m)
+        ndimage.uniform_filter1d(m, size, axis=0, output=rows, mode="nearest")
+        ndimage.uniform_filter1d(rows, size, axis=1, output=smooth, mode="nearest")
+        # (1 - s) m + s smooth, divided by s: the rescale to the total
+        # removes the constant factor
+        m *= (1.0 - strength) / strength
+        m += smooth
     m *= total / m.sum()
-    heap.heights[sl_x, sl_y] = m / rho
+    _set_heights(heap, sl_x, sl_y, np.divide(m, rho, out=smooth), m)
 
 
 def execute_grasp(heap: HeapState, x: int, y: int, z_cm: float,
@@ -714,9 +746,7 @@ def execute_grasp(heap: HeapState, x: int, y: int, z_cm: float,
     swept_g = float(np.sum(heap.bulk_density[sl_x, sl_y] * swept) * CELL_MASS_PER_MM)
     slip = abs(config.slip_g * float(rng.standard_normal()))
     grip = max(0.0, 1.0 - slip / swept_g) if swept_g > 0 else 0.0
-    removal = np.minimum(quantize_height(grip * swept), sub_h)
-    base_mass = float(np.sum(heap.bulk_density[sl_x, sl_y] * removal) * CELL_MASS_PER_MM)
-    heap.heights[sl_x, sl_y] = sub_h - removal
+    base_mass = _remove_into(heap, sl_x, sl_y, grip * swept)
 
     wsum = weights.sum()
     lam_bar = float(np.sum(heap.entanglement[sl_x, sl_y] * weights) / wsum)
@@ -738,8 +768,7 @@ def execute_grasp(heap: HeapState, x: int, y: int, z_cm: float,
             clump_masses.append(0.0)
             continue
         scale = min(1.0, target / avail)
-        removal = np.minimum(quantize_height(scale * region_h * disk), region_h)
-        clump_masses.append(_remove_into(heap, jsl_x, jsl_y, removal))
+        clump_masses.append(_remove_into(heap, jsl_x, jsl_y, scale * region_h * disk))
 
     # the grasp rips out the loosened surface; what it exposes is fresh,
     # fully entangled, settled material again
@@ -767,7 +796,7 @@ def apply_pregrasp(heap: HeapState, x: int, y: int, z_cm: float,
     """
     if z_cm <= 0:
         raise ValueError("insertion depth must be positive")
-    w, d, depth_mm = heap.tray_mm
+    w, d, _ = heap.tray_mm
     fw, fl = config.footprint_mm
     _extent(x, fw, w)
     _extent(y, fl, d)
@@ -782,49 +811,25 @@ def apply_pregrasp(heap: HeapState, x: int, y: int, z_cm: float,
     rho = heap.bulk_density[sl_x, sl_y]
     # loosening saturates: material already fluffed below the density floor
     # does not expand further (keeps density bounded over repeated passes)
-    rho_floor = config.rho_range[0] / pg.f
-    grow = disk & (h > 0) & (rho >= rho_floor - 1e-12)
-    fluffed = np.minimum(quantize_height(pg.f * h), float(depth_mm))
-    fluffed = np.where(grow, np.maximum(fluffed, h), h)
-    ratio = np.where(grow & (fluffed > 0), h / np.where(fluffed > 0, fluffed, 1.0), 1.0)
-    heap.bulk_density[sl_x, sl_y] = rho * ratio
-    heap.heights[sl_x, sl_y] = fluffed
+    grow = disk & (rho >= config.rho_range[0] / pg.f - 1e-12)
+    _set_heights(heap, sl_x, sl_y, pg.f * h, rho * h, grow)
 
 
 def release_mass(heap: HeapState, x: int, y: int, mass_g: float, config: SimConfig) -> None:
     """Return a released grasp to the heap, spread uniformly (by mass) over a
-    disk around the grasp point. Exact: the heap gains precisely mass_g."""
+    disk around the grasp point. Each disk column rises to hold its share at
+    its own density, on the 0.1 mm grid; one that would rise past the brim
+    packs denser instead. Exact: the heap gains mass_g to float precision."""
     if mass_g < 0:
         raise ValueError("cannot release negative mass")
     if mass_g == 0:
         return
-    w, d, depth_mm = heap.tray_mm
+    w, d, _ = heap.tray_mm
     fw, fl = config.footprint_mm
     sl_x, sl_y, disk = _disk(x, y, math.hypot(fw, fl) / 2.0 + 15.0, w, d)
     rho = heap.bulk_density[sl_x, sl_y]
-    h = heap.heights[sl_x, sl_y]
-    todo = mass_g
-    room = np.where(disk, depth_mm - h, 0.0)
-    for _ in range(8):
-        open_cells = room > 1e-12
-        n_open = int(open_cells.sum())
-        if n_open == 0 or todo <= 0:
-            break
-        dm = todo / n_open
-        dh = np.where(open_cells, dm / (rho * CELL_MASS_PER_MM), 0.0)
-        over = np.maximum(dh - room, 0.0)
-        dh -= over
-        h = h + dh
-        room -= dh
-        todo = float(np.sum(rho * over * CELL_MASS_PER_MM))
-        if todo < 1e-12:
-            todo = 0.0
-            break
-    if todo > 0:
-        # tray section is full to the brim; pile the remainder on anyway
-        inside = disk.sum()
-        h = h + np.where(disk, (todo / inside) / (rho * CELL_MASS_PER_MM), 0.0)
-    heap.heights[sl_x, sl_y] = h
+    mass = rho * heap.heights[sl_x, sl_y] + mass_g / (disk.sum() * CELL_MASS_PER_MM)
+    _set_heights(heap, sl_x, sl_y, mass / rho, mass, disk)
 
 
 # ---------------------------------------------------------------------------

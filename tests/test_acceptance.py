@@ -239,8 +239,22 @@ def test_c07_directional_reproduction(study_reports, trained_model):
                 f"TABLE4 direction failed at ({target}, {band})"
 
     assert elapsed < 300.0
+    margins = {}
+    for p, target in zip((10, 50, 70), targets):
+        margins[f"TABLE1 p{p}"] = cell(t1, "alpha=1", target) - cell(t1, "alpha=0", target)
+        for band in (2.0, 3.0, 4.0):
+            margins[f"TABLE4 p{p} +-{band:.0f} g"] = (cell(t4, "ours", target, band)
+                                                   - cell(t4, "baseline", target, band))
+    for drop in (3.0, 5.0, 10.0):
+        margins[f"TABLE2 drop {drop:.0f} g"] = (cell(t2, "pregrasp=on", drop, 2.0)
+                                               - cell(t2, "pregrasp=off", drop, 2.0))
+    for band in (2.0, 3.0, 4.0, 5.0):
+        margins[f"TABLE3 +-{band:.0f} g"] = (cell(t3, "spines=on", 10.0, band)
+                                             - cell(t3, "spines=off", 10.0, band))
+    thinnest = min(margins, key=margins.get)
     print(f"\n[ACCEPTANCE] 7 directional reproduction: PASS "
-          f"(all four studies, 200 episodes/cell, {elapsed:.0f}s < 300s)")
+          f"(all four studies, 200 episodes/cell, {elapsed:.0f}s < 300s; "
+          f"thinnest of {len(margins)}: {thinnest} by {margins[thinnest]:.2f} pp)")
 
 
 def test_c08_histogram_modality(sim_config):

@@ -169,6 +169,12 @@ BAD_SIM_FIELDS = {
     "clearance_mm": st.floats(max_value=-1e-9) | st.just(math.inf),
     "slip_g": st.floats(max_value=-1e-9),
     "scale.lag": st.integers(max_value=-1) | st.sampled_from([1.5, 2.0, "2", None]),
+    "noise.amp_mm": st.floats(max_value=-1e-9) | st.just(math.nan),
+    "noise.corr_mm": st.floats(max_value=0.0) | st.just(math.nan),
+    "noise.wear_mm": st.floats(max_value=-1e-9) | st.just(math.inf),
+    "clump_lognormal.mu": st.sampled_from([math.nan, math.inf, -math.inf, "0.7", None]),
+    "clump_lognormal.sigma": st.floats(max_value=-1e-9) | st.just(math.nan),
+    "scale.transient_gain": st.floats(max_value=-1e-9) | st.just(math.nan),
 }
 
 
@@ -197,6 +203,8 @@ def test_sim_config_rejects_bad_fields(path, data):
     ("eta_fill", 0.0), ("slump_strength", 1.0000001), ("slump_reach_mm", 0.999),
     ("clearance_mm", -1e-12), ("scale.lag", 2.0), ("pregrasp.r_mm", 0.0),
     ("clump_lognormal.r_mm", 0), ("postgrasp.piece_g", 0.0), ("postgrasp.gamma_scale", 0),
+    ("noise.amp_mm", -1e-12), ("noise.corr_mm", 0.0), ("clump_lognormal.sigma", -1e-12),
+    ("scale.transient_gain", -1e-12),
 ])
 def test_sim_config_rejects_boundary_values(path, value):
     with pytest.raises(ValueError, match=f"SimConfig.{path}"):
@@ -208,6 +216,8 @@ def test_sim_config_rejects_boundary_values(path, value):
     ("kappa", 0), ("eta_fill", 1.0), ("slump_strength", 0.0), ("slump_strength", 1.0),
     ("slump_reach_mm", 1), ("clearance_mm", 0.0), ("slip_g", 0), ("scale.lag", 0),
     ("noise.craters", [5, 5]), ("clump_lognormal.r_mm", 0.5), ("pregrasp.r_mm", 1e-3),
+    ("noise.amp_mm", 0.0), ("noise.corr_mm", 1e-3), ("noise.wear_mm", 0),
+    ("clump_lognormal.mu", -3.0), ("clump_lognormal.sigma", 0.0), ("scale.transient_gain", 0),
 ])
 def test_sim_config_accepts_boundary_values(path, value):
     cfg = sim.SimConfig.from_dict(sim_doc(path, value))
@@ -239,6 +249,23 @@ def test_cli_collect_bad_config_exit_2(workdir, doc):
                         "--out", workdir / "never.jsonl")
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: bad simulator config")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("collect", "--n", 2), {"noise": {"amp_mm": math.nan}}),
+    (("experiment", "TABLE2", "--episodes", 30), {"clump_lognormal": {"sigma": -1}}),
+    (("experiment", "TABLE3", "--episodes", 30), {"scale": {"transient_gain": math.nan}}),
+])
+def test_cli_bad_sim_field_exit_2_before_running(workdir, argv, doc):
+    """Each of these once ran: into a NaN heap blamed on --zpool, into a
+    mid-run numpy error, or through TABLE3 to 0.0 % with exit 0."""
+    config = write_json(workdir / "bad_field.json", doc)
+    out = workdir / "never_bad_field"
+    code, err = run_cli(*argv, "--config", config, "--out", out)
+    section = next(iter(doc))
+    assert code == 2 and len(err) == 1
+    assert f"SimConfig.{section}.{next(iter(doc[section]))}" in err[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -314,6 +341,25 @@ def test_checkpoint_bad_field_named(workdir, checkpoint_doc, name):
     code, err = cli_with_model(CHECKPOINT_COMMANDS[2], path, workdir / "never")
     assert code == 2 and len(err) == 1
     assert f"{name}.json" in err[0] and needle in err[0]
+
+
+@pytest.mark.parametrize("log", [{}, {"train_masses_g": []}], ids=["absent", "empty"])
+@pytest.mark.parametrize("preset", ["TABLE1", "TABLE4"])
+def test_cli_percentile_study_needs_training_masses(workdir, checkpoint_doc, preset, log):
+    path = write_json(workdir / "no_masses.json", {**checkpoint_doc, "training_log": log})
+    out = workdir / "never_masses.json"
+    code, err = run_cli("experiment", preset, path, "--episodes", 30, "--out", out)
+    assert code == 2 and len(err) == 1
+    assert "no_masses.json" in err[0] and "training_log.train_masses_g" in err[0]
+    assert not out.exists()
+
+
+def test_run_and_inspect_accept_a_checkpoint_without_masses(workdir, checkpoint_doc):
+    """They take --target, so they never read the training masses."""
+    path = write_json(workdir / "masses_unused.json", {**checkpoint_doc, "training_log": {}})
+    for argv in (("inspect", path, "--target", 20),
+                 ("run", path, "--target", 20, "--episodes", 1)):
+        assert run_cli(*argv, "--out", workdir / f"ok_{argv[0]}") == (0, [])
 
 
 # ---------------------------------------------------------------- datasets

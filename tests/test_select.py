@@ -284,8 +284,8 @@ def partition_medians(units, ix, iy, shape):
 
 @pytest.fixture(scope="module")
 def mutated_heap():
-    """A seeded heap after 20 grasps and 5 releases, so its heights sit off
-    the 0.1 mm grid."""
+    """A seeded heap after 20 grasps and 5 releases; its heights are still
+    on the 0.1 mm grid."""
     cfg = sim.SimConfig()
     heap = sim.init_heap(cfg, seed=11)
     rng = np.random.default_rng(12)
@@ -296,7 +296,7 @@ def mutated_heap():
         if i % 4 == 0:
             sim.release_mass(heap, x, y, out.grasped_mass, cfg)
     units = heap.heights * 10.0
-    assert not np.array_equal(units, np.round(units))
+    assert np.array_equal(units, np.round(units))
     return heap
 
 
@@ -328,6 +328,19 @@ def test_selection_matches_partition_oracle_on_mutated_heap(mutated_heap, traine
     assert got is not None
     assert got == select.select_grasp(trained_model, mutated_heap, scfg)
     assert got_report == select.selection_report(trained_model, mutated_heap, scfg)
+
+
+def test_grid_scoring_matches_per_candidate_on_mutated_heap(mutated_heap, trained_model):
+    """On a heap that was grasped and released, the lattice and the
+    per-candidate path build the same features up to summation order."""
+    xy = [(80, 80), (140, 125), (212, 154), (290, 200), (344, 228)]
+    zs = sim.Z_INFER_DEEP
+    mu, sigma = select._score_grid(trained_model, mutated_heap, xy, zs, 5.0)
+    for i, (x, y) in enumerate(xy):
+        for j, z in enumerate(zs):
+            mu1, sigma1 = select.score_candidate(trained_model, mutated_heap, x, y, z)
+            assert abs(mu[i, j] - mu1) <= 1e-11
+            assert sigma[i, j] == sigma1 or abs(sigma[i, j] - sigma1) <= 1e-11
 
 
 # ---------------------------------------------------------------- the capture kernel
