@@ -14,9 +14,11 @@ Training works in feature space. Every feature is a rectangle sum, and a
 flip maps a crop rectangle to a mirrored rectangle of the unflipped patch,
 so before the first epoch ``train`` reads the features of all
 ``N_VARIANTS`` augmentations of each train row (2 x 2 flips x 11 x 11 crop
-offsets) off two summed-area tables of that row. Each step then draws the
-augmentation stream exactly as ``augment`` does and gathers its batch from
-that table; ``augment`` stays as the reference the table is tested against.
+offsets) off two summed-area tables of that row. Each epoch then draws all
+its augmentations in one read of the generator (``_draw_variants``), the
+same stream, bit for bit, that one ``augment`` call per row would consume,
+and each step gathers its batch from that table; ``augment`` and
+``_draw_variant`` stay as the references both are tested against.
 
 Parameters live in one flat vector so checkpoints are a single array and
 finite-difference checks stay trivial.
@@ -70,13 +72,19 @@ class Dataset:
 
     def to_jsonl(self, path) -> None:
         """Write one JSON line per row; the patch is the base64 of its
-        float64 values, little-endian and row-major (see ``_decode_patch``)."""
+        float64 values, little-endian and row-major (see ``_decode_patch``).
+        Base64 never needs escaping, so only the rest of the row goes
+        through ``json.dumps``; each line still equals ``json.dumps`` of the
+        whole row, byte for byte."""
         with open(path, "w", encoding="utf-8") as f:
             for r in self.rows:
                 patch = np.asarray(r.patch, dtype=PATCH_DTYPE).tobytes()   # row-major
-                doc = {"patch": base64.b64encode(patch).decode("ascii"),
-                       "z_cm": r.z_cm, "mass_g": r.mass_g, "split": r.split}
-                f.write(json.dumps(doc, separators=(",", ":")))
+                rest = json.dumps({"z_cm": r.z_cm, "mass_g": r.mass_g, "split": r.split},
+                                  separators=(",", ":"))
+                f.write('{"patch":"')
+                f.write(base64.b64encode(patch).decode("ascii"))
+                f.write('",')
+                f.write(rest[1:])   # drop the "{" of the rest of the object
                 f.write("\n")
 
     @classmethod
@@ -92,12 +100,12 @@ class Dataset:
                 try:
                     doc = json.loads(line)
                     patch = _decode_patch(doc["patch"])
-                    row = DataRow(patch, float(doc["z_cm"]), float(doc["mass_g"]),
-                                  str(doc["split"]))
-                    if not (math.isfinite(row.z_cm) and math.isfinite(row.mass_g)):
+                    z_cm, mass_g = doc["z_cm"], doc["mass_g"]
+                    if any(isinstance(x, float) and not math.isfinite(x) for x in (z_cm, mass_g)):
                         raise ValueError("non-finite depth or mass")
-                    if row.mass_g < 0:
-                        raise ValueError("negative mass")
+                    check_number("z_cm", z_cm, 0, lo_open=True)
+                    check_number("mass_g", mass_g, 0)
+                    row = DataRow(patch, float(z_cm), float(mass_g), str(doc["split"]))
                     if row.split not in ("train", "eval"):
                         raise ValueError(f"unknown split {row.split!r}")
                 except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -468,6 +476,44 @@ def _draw_variant(rng: np.random.Generator) -> int:
     return ((2 * flip_v + flip_h) * N_OFFSETS + int(off[0])) * N_OFFSETS + int(off[1])
 
 
+_FLIP_WORD = 1 << 63                   # random() < 0.5 iff its word is below this
+_LOW_HALF = 0xFFFFFFFF
+_LEMIRE_REJECT = 2 ** 32 % N_OFFSETS   # redraw when (x * N_OFFSETS) % 2**32 is below this
+
+
+def _draw_variants(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``n`` ``_draw_variant`` indices from one read of ``3 * n``
+    raw PCG64 words, equal to ``n`` one-at-a-time calls bit for bit and
+    leaving the same generator state.
+
+    A flip is ``random() < 0.5``: its word is below 2**63. An offset is
+    ``integers(0, N_OFFSETS)`` on one 32-bit half ``x`` of a word, taken as
+    ``(x * N_OFFSETS) >> 32`` (Lemire 2019). PCG64 hands out the low half of
+    a word and keeps the high half for the next 32-bit draw, which
+    ``random()`` neither reads nor clears, so a draw takes three words
+    whatever that buffer holds: a buffered half is the first offset of the
+    first draw, and the last word's high half is left in the buffer. A
+    half that Lemire's method would redraw (about one draw in 1e9) sends
+    the whole call back to one ``_draw_variant`` at a time."""
+    bg = rng.bit_generator
+    saved = bg.state
+    words = bg.random_raw(3 * n).reshape(n, 3)
+    halves = np.stack([words[:, 2] & _LOW_HALF, words[:, 2] >> 32], axis=1)
+    if saved["has_uint32"]:
+        halves = np.append(np.uint64(saved["uinteger"]), halves)[:2 * n].reshape(n, 2)
+    scaled = halves * N_OFFSETS
+    if ((scaled & _LOW_HALF) < _LEMIRE_REJECT).any():
+        bg.state = saved
+        return np.array([_draw_variant(rng) for _ in range(n)], dtype=np.intp)
+    if n:
+        state = bg.state   # the buffer, live or spent, holds the last high half
+        state["uinteger"] = int(words[-1, 2] >> 32)
+        bg.state = state
+    flips = (words[:, :2] < _FLIP_WORD).astype(np.intp)
+    off = (scaled >> 32).astype(np.intp)
+    return ((2 * flips[:, 0] + flips[:, 1]) * N_OFFSETS + off[:, 0]) * N_OFFSETS + off[:, 1]
+
+
 def augment(obs: PatchObservation, rng: np.random.Generator) -> PatchObservation:
     """Gripper-symmetry augmentation: independent vertical/horizontal flips at
     probability 0.5 each, then a random CROP_SIDE x CROP_SIDE crop."""
@@ -570,8 +616,10 @@ def _init_head_from_masses(params: ModelParams, masses) -> None:
 def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
     """Stochastic NLL training on the train split with augmentation.
 
-    Each step draws one augmentation per row as ``augment`` would and reads
-    its features off the variant table of ``_variant_features``. Evaluates
+    Right after each epoch's shuffle, one ``_draw_variants`` call draws an
+    augmentation per row, the draws one ``augment`` call per row would make,
+    and each step reads its rows' features off the variant table of
+    ``_variant_features``. Evaluates
     on the eval split every epoch and returns the parameters from the best
     eval epoch, so the returned eval NLL never exceeds the initial one.
     Fully deterministic for a fixed config seed.
@@ -600,10 +648,12 @@ def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
+        variants = _draw_variants(rng, n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            feats = table[idx, [_draw_variant(rng) for _ in idx]]
+            batch = slice(start, start + config.batch_size)
+            idx = order[batch]
+            feats = table[idx, variants[batch]]
             loss, g = _nll_value_grad(params, feats, masses[idx])
             epoch_losses.append(loss)
             t += 1

@@ -83,10 +83,13 @@ def check_number(where: str, value, lo=-math.inf, hi=math.inf, *,
                  lo_open=False, hi_open=False) -> None:
     """Raise ValueError naming ``where`` unless ``value`` is a finite real
     number between ``lo`` and ``hi`` (inclusive unless an end is open)."""
-    ok = (not isinstance(value, bool) and isinstance(value, (int, float, np.number))
-          and math.isfinite(value)
-          and (lo < value if lo_open else lo <= value)
-          and (value < hi if hi_open else value <= hi))
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float, np.number))
+              and math.isfinite(value)
+              and (lo < value if lo_open else lo <= value)
+              and (value < hi if hi_open else value <= hi))
+    except OverflowError:   # an int too large for a float
+        ok = False
     if ok:
         return
     if lo == -math.inf and hi == math.inf:

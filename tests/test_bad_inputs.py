@@ -426,6 +426,19 @@ def test_dataset_rejects_non_finite_depth_or_mass(workdir, dataset_path, field, 
         mdn.Dataset.from_jsonl(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("z_cm", -3.0), ("z_cm", 0), ("z_cm", "2.5"), ("z_cm", True),
+    pytest.param("z_cm", 10 ** 400, id="z_cm-int-beyond-float"),
+    ("mass_g", "12"), ("mass_g", -0.5), ("mass_g", None),
+])
+def test_dataset_rejects_bad_depth_or_mass(workdir, dataset_path, field, value):
+    path = workdir / "bad_number.jsonl"
+    path.write_text(with_row(dataset_path, 2, **{field: value}))
+    code, err = run_cli("train", path, "--out", workdir / "never.json")
+    assert code == 2 and len(err) == 1
+    assert "line 3" in err[0] and f"{field} must be a number" in err[0]
+
+
 # ---------------------------------------------------------------- experiment
 
 @pytest.mark.parametrize("argv, needle", [

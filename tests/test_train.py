@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -158,6 +159,25 @@ def test_dataset_jsonl_round_trips_patch_bits(tmp_path_factory, cells, seed, z_c
     assert back.rows[1].patch.tobytes() == np.ascontiguousarray(patch[::-1].T).tobytes()
     assert (back.rows[0].z_cm, back.rows[0].mass_g) == (z_cm, mass_g)
     assert back.rows[0].patch.dtype == np.float64 and back.rows[0].patch.flags.writeable
+
+
+def json_dumps_lines(dataset):
+    """The dataset file as ``json.dumps`` writes each whole row."""
+    return "".join(
+        json.dumps({"patch": base64.b64encode(np.asarray(r.patch, dtype="<f8").tobytes())
+                    .decode("ascii"), "z_cm": r.z_cm, "mass_g": r.mass_g, "split": r.split},
+                   separators=(",", ":")) + "\n"
+        for r in dataset.rows).encode("utf-8")
+
+
+def test_dataset_jsonl_bytes_equal_json_dumps(collected_dataset, tmp_path):
+    patch = np.random.default_rng(3).normal(0, 50, (160, 160))
+    hand_built = Dataset([DataRow(patch, 2, 5.0, "train"), DataRow(patch, 0.1, 0.0, "eval"),
+                          DataRow(patch.T, 1e-300, 12.25, "eval")])
+    for name, ds in (("collected", collected_dataset), ("hand_built", hand_built)):
+        path = tmp_path / f"{name}.jsonl"
+        ds.to_jsonl(path)
+        assert path.read_bytes() == json_dumps_lines(ds), name
 
 
 def test_train_on_reloaded_dataset_writes_same_checkpoint(collected_dataset, trained_model,

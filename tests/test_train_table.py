@@ -130,3 +130,91 @@ def test_train_never_crops(collected_dataset, monkeypatch):
     mdn.train(collected_dataset, ModelConfig(seed=7, epochs=2))
     assert calls["features_from_rows"] == 1   # the eval split
 
+
+# ---------------------------------------------------------------- bulk draws
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 150])
+def test_draw_variants_equal_one_draw_at_a_time(n, buffered):
+    for seed in range(50):
+        bulk, one = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:   # leave the high half of a word in PCG64's 32-bit buffer
+            bulk.integers(0, mdn.N_OFFSETS)
+            one.integers(0, mdn.N_OFFSETS)
+        assert bulk.bit_generator.state["has_uint32"] == int(buffered)
+        got = mdn._draw_variants(bulk, n)
+        want = [mdn._draw_variant(one) for _ in range(n)]
+        assert got.tolist() == want, seed
+        assert bulk.bit_generator.state == one.bit_generator.state, seed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_draw_variants_redraw_falls_back(seed):
+    # a buffered half of 0 gives (0 * 11) % 2**32 = 0 < 4, which Lemire's
+    # method redraws, so the bulk read must give way to single draws
+    bulk, one = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = bulk.bit_generator.state
+    state.update(has_uint32=1, uinteger=0)
+    bulk.bit_generator.state = state
+    one.bit_generator.state = state
+    got = mdn._draw_variants(bulk, 16)
+    want = [mdn._draw_variant(one) for _ in range(16)]
+    assert got.tolist() == want
+    assert bulk.bit_generator.state == one.bit_generator.state
+
+
+def one_draw_per_row_train(dataset, config):
+    """``train`` with one ``_draw_variant`` call per batch row: the same
+    stream as the bulk draw, so ``train`` must match it bit for bit."""
+    train_rows, eval_rows = dataset.train_rows(), dataset.eval_rows()
+    rng = np.random.default_rng(config.seed)
+    params = mdn.init_params(config)
+    mdn._init_head_from_masses(params, [r.mass_g for r in train_rows])
+    eval_feats, eval_masses = mdn._dataset_features(eval_rows, config)
+    n = len(train_rows)
+    masses = np.array([r.mass_g for r in train_rows])
+    table = mdn._variant_features(train_rows, config)
+    m = np.zeros_like(params.theta)
+    v = np.zeros_like(params.theta)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    t = 0
+    best_nll = mdn._nll_from_features(params, eval_feats, eval_masses)
+    best_theta = params.theta.copy()
+    log = [{"epoch": 0, "train_nll": None, "eval_nll": best_nll}]
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            feats = table[idx, [mdn._draw_variant(rng) for _ in idx]]
+            loss, g = mdn._nll_value_grad(params, feats, masses[idx])
+            epoch_losses.append(loss)
+            t += 1
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1 ** t)
+            v_hat = v / (1 - beta2 ** t)
+            params.theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        eval_nll = mdn._nll_from_features(params, eval_feats, eval_masses)
+        log.append({"epoch": epoch, "train_nll": float(np.mean(epoch_losses)),
+                    "eval_nll": eval_nll})
+        if eval_nll <= best_nll:
+            best_nll = eval_nll
+            best_theta = params.theta.copy()
+    return best_theta, {"epochs": log, "best_eval_nll": best_nll,
+                        "train_masses_g": [float(x) for x in masses]}
+
+
+def test_default_checkpoint_equals_one_draw_per_row(collected_dataset, trained_model):
+    theta, log = one_draw_per_row_train(collected_dataset, trained_model.config)
+    assert trained_model.theta.tobytes() == theta.tobytes()
+    assert trained_model.training_log == log
+
+
+@pytest.mark.parametrize("seed, batch_size", [(0, 7), (12345, 150)])
+def test_train_equals_one_draw_per_row(collected_dataset, seed, batch_size):
+    cfg = ModelConfig(seed=seed, epochs=20, batch_size=batch_size)
+    params = mdn.train(collected_dataset, cfg)
+    theta, log = one_draw_per_row_train(collected_dataset, cfg)
+    assert params.theta.tobytes() == theta.tobytes()
+    assert params.training_log == log
