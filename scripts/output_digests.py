@@ -19,7 +19,8 @@ The outputs:
     target, 12 episodes on seed 3, for alpha 0 and 1 with trace on and off;
     and at the 10th percentile, alpha 1, seed 4, on 1 and 2 workers;
   - ``run_experiment``: the TABLE1-4 reports at 30 episodes per cell on
-    seeds 5 and 20240601;
+    seeds 5 and 20240601, and TABLE2 with drops of 3, 25 and 40 g, which
+    re-grasp often, on seed 5;
   - ``perfbench``: the output digest of one unit of each workload.
 
 Takes about a minute on two cores.
@@ -98,6 +99,11 @@ def study_outputs(sim_cfg, model):
             report = experiments.run_experiment(experiments.preset(name, episodes=30, seed=seed),
                                                 sim_cfg, model)
             emit(f"run_experiment.{name}.episodes30.seed{seed}", report.to_dict())
+    # drops that re-grasp often, so the digest covers the re-grasp path
+    report = experiments.run_experiment(
+        experiments.preset("TABLE2", episodes=30, seed=5, drops_g=(3.0, 25.0, 40.0)),
+        sim_cfg, model)
+    emit("run_experiment.TABLE2.drops3-25-40.episodes30.seed5", report.to_dict())
 
 
 def perfbench_outputs():

@@ -5,9 +5,11 @@ kwargs) rows; its cells are percentile targets (nearest-rank percentiles of
 the model's training masses, which the training log carries), or fixed
 drops when it has no targets. ``run_experiment`` runs the preset's episodes
 as paired trials (common random numbers): episode i of every arm x cell
-starts from a copy of the same heap with the same ops seed. It runs them
-through the study's episode function in ``STUDIES`` and reports per band a
-bootstrap mean +- std rate of the study's success predicate, and the paired
+starts from a copy of the same heap with the same ops seed. It runs each
+index i through the study's index function in ``STUDIES`` (``_run_index``
+over an episode function, or ``_random_grasp_index``, which grasps once per
+pre-grasp flag for every arm x drop) and reports per band a bootstrap
+mean +- std rate of the study's success predicate, and the paired
 difference of each later arm against the first:
 
   TABLE1    selection margin alpha 0 vs 1, a single pick; success = grasped
@@ -28,6 +30,7 @@ discarded).
 
 from __future__ import annotations
 
+import copy
 import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -208,29 +211,6 @@ def count_modes(hist: Histogram, window: int = 3, min_height_frac: float = 0.15,
 # episodes: fn(sim_cfg, model, heap, rng_seed, cell value, [lattice], **arm kwargs)
 # ---------------------------------------------------------------------------
 
-def _random_grasp_episode(sim_cfg, model, heap, rng_seed, drop_g, pregrasp, spines):
-    """One TABLE2/TABLE3 style episode: random grasp (re-grasping light loads),
-    then drop `drop_g` by post-grasping. The model is not used."""
-    rng = np.random.default_rng(rng_seed)
-    before = total_mass(heap)
-    for retries in range(30):
-        x, y, z = pipeline._random_grasp_point(heap, Z_POOL_DEEP, rng, sim_cfg)
-        if pregrasp:
-            apply_pregrasp(heap, x, y, z, rng, sim_cfg)
-        outcome = execute_grasp(heap, x, y, z, rng, sim_cfg)
-        if outcome.grasped_mass >= drop_g + REGRASP_MARGIN_G:
-            break
-        release_mass(heap, x, y, outcome.grasped_mass, sim_cfg)
-    else:
-        return {"ok": False, "retries": 30, "imbalance": 0.0}
-    target = outcome.grasped_mass - drop_g
-    load = make_gripper_load(outcome, sim_cfg.postgrasp, spines)
-    scale = ScaleState(params=sim_cfg.scale)
-    final, _ = pipeline.run_postgrasp(load, target, scale, sim_cfg.postgrasp, rng)
-    return {"ok": True, "retries": retries, "err": abs(final - target),
-            "imbalance": before - total_mass(heap) - outcome.grasped_mass}
-
-
 def _selection_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice=None,
                        **episode_kw):
     """One target-mass pick with retries (TABLE4 and `run_episode_batch`);
@@ -260,6 +240,11 @@ def _table1_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice):
     return {"status": "placed", "grasped": outcome.grasped_mass, "imbalance": imbalance}
 
 
+# ---------------------------------------------------------------------------
+# episode indices: fn(sim_config, model, arms, cell values, heap seed, ops seed)
+# -> every arm x cell's result, arm-major
+# ---------------------------------------------------------------------------
+
 def _run_index(episode, selects, sim_config, model, arms, values, heap_seed, ops_seed):
     """Every arm x cell of one episode index, arm-major: one heap build, and
     each arm x cell on a fresh heap with a fresh generator on the same ops
@@ -276,6 +261,61 @@ def _run_index(episode, selects, sim_config, model, arms, values, heap_seed, ops
     return [episode(sim_config, model, heap if i == len(jobs) - 1 else heap.copy(), ops_seed,
                     value, **shared, **kw)
             for i, (kw, value) in enumerate(jobs)]
+
+
+def _postgrasp_error(outcome, drop_g, spines, rng, sim_cfg) -> float:
+    """Post-grasp a grasp down by `drop_g`; |final - target| in grams."""
+    target = outcome.grasped_mass - drop_g
+    load = make_gripper_load(outcome, sim_cfg.postgrasp, spines)
+    scale = ScaleState(params=sim_cfg.scale)
+    final, _ = pipeline.run_postgrasp(load, target, scale, sim_cfg.postgrasp, rng)
+    return abs(final - target)
+
+
+def _random_grasp_index(sim_config, model, arms, values, heap_seed, ops_seed):
+    """Every arm x drop of one TABLE2/TABLE3 index, arm-major: random grasps
+    (re-grasping loads under drop + REGRASP_MARGIN_G, 30 attempts at most),
+    then the drop by post-grasping. The model is not used.
+
+    Each arm x drop starts from the same heap and ops seed, so arms that
+    share a `pregrasp` flag make the same grasps until one falls short of a
+    drop's threshold. One grasp sequence runs per flag (the last on the
+    built heap, any other on a copy). Each attempt ends every pending drop
+    that it meets, and each arm of that drop post-grasps on its own copy of
+    the generator; the drops still pending release the load and grasp
+    again. The results equal one fresh heap and generator per arm x drop,
+    bit for bit."""
+    heap = init_heap(sim_config, heap_seed)
+    flags = list(dict.fromkeys(kw["pregrasp"] for kw in arms))
+    results = {}
+    for f, pregrasp in enumerate(flags):
+        grasp_heap = heap if f == len(flags) - 1 else heap.copy()
+        rng = np.random.default_rng(ops_seed)
+        before = total_mass(grasp_heap)
+        group = [a for a, kw in enumerate(arms) if kw["pregrasp"] == pregrasp]
+        pending = list(range(len(values)))
+        for retries in range(30):
+            x, y, z = pipeline._random_grasp_point(grasp_heap, Z_POOL_DEEP, rng, sim_config)
+            if pregrasp:
+                apply_pregrasp(grasp_heap, x, y, z, rng, sim_config)
+            outcome = execute_grasp(grasp_heap, x, y, z, rng, sim_config)
+            met = [j for j in pending if outcome.grasped_mass >= values[j] + REGRASP_MARGIN_G]
+            if met:
+                imbalance = before - total_mass(grasp_heap) - outcome.grasped_mass
+            for j in met:
+                pending.remove(j)
+                for a in group:
+                    err = _postgrasp_error(outcome, values[j], arms[a]["spines"],
+                                           copy.deepcopy(rng), sim_config)
+                    results[a, j] = {"ok": True, "retries": retries, "err": err,
+                                     "imbalance": imbalance}
+            if not pending:
+                break
+            release_mass(grasp_heap, x, y, outcome.grasped_mass, sim_config)
+        for j in pending:
+            for a in group:
+                results[a, j] = {"ok": False, "retries": 30, "imbalance": 0.0}
+    return [results[a, j] for a in range(len(arms)) for j in range(len(values))]
 
 
 def _map_episodes(episode, rows, workers: int) -> list:
@@ -297,24 +337,24 @@ def _episode_seeds(root_seed: int, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 class Study(NamedTuple):
-    episode: Callable
+    index: Callable            # every arm x cell of one episode index
     metric: str
     success: Callable          # (episode result, cell value, band) -> bool
     regrasp: bool              # report the share of re-grasped episodes per cell
-    selects: bool              # the episode takes the shared `lattice` of its heap
 
 
-_RANDOM_GRASP = Study(_random_grasp_episode, "final_within_band_of_drop_target",
-                      lambda r, drop, band: r["ok"] and r["err"] <= band, True, False)
+_RANDOM_GRASP = Study(_random_grasp_index, "final_within_band_of_drop_target",
+                      lambda r, drop, band: r["ok"] and r["err"] <= band, True)
 STUDIES = {
-    "TABLE1": Study(_table1_episode, "grasped_above_target_minus_2g",
+    "TABLE1": Study(partial(_run_index, _table1_episode, True),
+                    "grasped_above_target_minus_2g",
                     lambda r, target, band: r["status"] == "placed"
-                    and r["grasped"] > target - 2.0, False, True),
+                    and r["grasped"] > target - 2.0, False),
     "TABLE2": _RANDOM_GRASP,
     "TABLE3": _RANDOM_GRASP,
-    "TABLE4": Study(_selection_episode, "final_within_band",
+    "TABLE4": Study(partial(_run_index, _selection_episode, True), "final_within_band",
                     lambda r, target, band: r["status"] == "placed"
-                    and abs(r["final"] - target) <= band, True, True),
+                    and abs(r["final"] - target) <= band, True),
 }
 
 
@@ -348,8 +388,8 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
         cell_values = list(zip(percentiles, _targets_from_model(model, percentiles)))
 
     seeds = _episode_seeds(_cell_seed(preset_obj.seed, name), preset_obj.episodes)
-    index = partial(_run_index, study.episode, study.selects, sim_config, model,
-                    tuple(kw for _, kw in preset_obj.arms), tuple(v for _, v in cell_values))
+    index = partial(study.index, sim_config, model, tuple(kw for _, kw in preset_obj.arms),
+                    tuple(v for _, v in cell_values))
     # per-index lists of arm-major results, transposed into arm x cell columns
     columns = iter(zip(*_map_episodes(index, seeds, workers)))
 

@@ -228,6 +228,19 @@ class SimConfig:
                                       lo_open=True, ordered=True)
         self.footprint_mm = check_tuple("SimConfig.footprint_mm", self.footprint_mm, 2, 0,
                                          lo_open=True)
+        # grasp points keep PATCH_MARGIN from every edge, and init_heap's
+        # craters are 2 * (int(side / 2) + 1) mm wide along each footprint side
+        craters = self.noise.amp_mm > 0 and self.noise.craters[1] > 0
+        for i, (side, foot) in enumerate(zip(self.tray_mm, self.footprint_mm)):
+            if side < PATCH_SIDE:
+                raise ValueError(f"SimConfig.tray_mm[{i}] must be at least {PATCH_SIDE} mm, "
+                                 f"the observation window, got {side!r}")
+            if foot > PATCH_SIDE:
+                raise ValueError(f"SimConfig.footprint_mm[{i}] must be at most {PATCH_SIDE} mm, "
+                                 f"or a grasp at the patch margin leaves the tray, got {foot!r}")
+            if craters and 2 * (int(foot / 2) + 1) >= int(side):
+                raise ValueError(f"SimConfig.footprint_mm[{i}] = {foot!r} leaves no room for "
+                                 f"a crater across a tray side of {side!r} mm")
         check_number("SimConfig.eta_fill", self.eta_fill, 0, 1, lo_open=True)
         check_number("SimConfig.kappa", self.kappa, 0)
         check_number("SimConfig.clearance_mm", self.clearance_mm, 0)
@@ -267,6 +280,8 @@ class HeapState:
     ``lambda_fresh`` and ``rho_fresh`` remember the undisturbed entanglement
     and density fields: grasping tears out the loosened surface and exposes
     fresh, settled material, so the region a grasp disturbs reverts to them.
+    Nothing writes them after the build: they are read-only, and a copy
+    shares them.
     """
 
     heights: np.ndarray       # mm, shape (W, D)
@@ -282,6 +297,8 @@ class HeapState:
             self.lambda_fresh = self.entanglement.copy()
         if self.rho_fresh is None:
             self.rho_fresh = self.bulk_density.copy()
+        self.lambda_fresh.flags.writeable = False
+        self.rho_fresh.flags.writeable = False
 
     def validate(self):
         w, d, h = self.tray_mm
@@ -299,7 +316,7 @@ class HeapState:
     def copy(self) -> "HeapState":
         return HeapState(self.heights.copy(), self.entanglement.copy(),
                          self.bulk_density.copy(), self.tray_mm, self.rng_seed,
-                         self.lambda_fresh.copy(), self.rho_fresh.copy())
+                         self.lambda_fresh, self.rho_fresh)
 
     def state_digest(self) -> str:
         h = hashlib.sha256()

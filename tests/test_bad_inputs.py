@@ -268,6 +268,52 @@ def test_cli_bad_sim_field_exit_2_before_running(workdir, argv, doc):
     assert not out.exists()
 
 
+SMALL_TRAY = {"tray_mm": [160, 160, 160]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    # a grasp point keeps 80 mm from every edge: no point fits a 159 mm side
+    ({"tray_mm": [159, 308, 160]}, "tray_mm[0]"),
+    ({"tray_mm": [424, 159.9, 160]}, "tray_mm[1]"),
+    # a footprint over 160 mm leaves the tray at the patch margin
+    ({"footprint_mm": [160.01, 22.5]}, "footprint_mm[0]"),
+    ({"footprint_mm": [500, 22.5]}, "footprint_mm[0]"),
+    ({"footprint_mm": [40, 161]}, "footprint_mm[1]"),
+    # the crater window of a 158 mm footprint is 160 mm wide
+    ({**SMALL_TRAY, "fill_mm": 100, "footprint_mm": [160, 22.5]}, "footprint_mm[0]"),
+    ({**SMALL_TRAY, "footprint_mm": [40, 158]}, "footprint_mm[1]"),
+    ({"tray_mm": [162, 308, 160], "footprint_mm": [160, 22.5]}, "footprint_mm[0]"),
+])
+def test_sim_config_rejects_sizes_that_cannot_be_picked(workdir, doc, field):
+    with pytest.raises(ValueError, match=f"SimConfig.{field}".replace("[", r"\[")):
+        sim.SimConfig.from_dict(doc)
+    config = write_json(workdir / "bad_size.json", doc)
+    out = workdir / "never_bad_size.jsonl"
+    code, err = run_cli("collect", "--n", 2, "--config", config, "--out", out)
+    assert code == 2 and len(err) == 1 and f"SimConfig.{field}" in err[0]
+    assert not out.exists()
+
+
+def test_sim_config_accepts_the_widest_crater():
+    # 2 * (int(157.9 / 2) + 1) = 158 mm of crater across a 160 mm side
+    cfg = sim.SimConfig.from_dict({**SMALL_TRAY, "footprint_mm": [157.9, 157.9]})
+    assert sim.init_heap(cfg, seed=1).heights.shape == (160, 160)
+
+
+@pytest.mark.parametrize("doc", [
+    SMALL_TRAY,
+    {**SMALL_TRAY, "footprint_mm": [160, 160], "noise": {"amp_mm": 0.0}},
+    {**SMALL_TRAY, "footprint_mm": [160, 160], "noise": {"craters": [0, 0]}},
+    {"tray_mm": [163, 308, 160], "footprint_mm": [160, 22.5]},
+])
+def test_smallest_trays_and_widest_footprints_collect(workdir, doc):
+    config = write_json(workdir / "small_tray.json", doc)
+    out = workdir / "small_tray.jsonl"
+    code, err = run_cli("collect", "--n", 2, "--config", config, "--out", out)
+    assert (code, err) == (0, [])
+    assert len(mdn.Dataset.from_jsonl(out).rows) == 2
+
+
 # ---------------------------------------------------------------- checkpoints
 
 CHECKPOINT_COMMANDS = (

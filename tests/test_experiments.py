@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from entpick import experiments as ex
 from entpick import mdn, pipeline, select, sim
+from entpick.experiments import REGRASP_MARGIN_G
+from entpick.sim import (ScaleState, Z_POOL_DEEP, apply_pregrasp, execute_grasp,
+                         make_gripper_load, release_mass, total_mass)
 
 
 def dataset_of(masses, split="train"):
@@ -226,29 +229,31 @@ def test_episode_index_shares_one_heap_and_ops_seed(sim_config, monkeypatch):
         builds.append(args[1])
         return real_init(*args, **kwargs)
 
-    starts = []
-    study = ex.STUDIES["TABLE3"]
+    # the heap and generator state of each grasp sequence's first grasp;
+    # the generators are kept, so each object is one sequence
+    generators, starts = [], []
+    real_point = pipeline._random_grasp_point
 
-    def recording_episode(sim_cfg, model, heap, rng_seed, value, **kw):
-        starts.append((heap.state_digest(), rng_seed, kw["spines"]))
-        return study.episode(sim_cfg, model, heap, rng_seed, value, **kw)
+    def recording_point(heap, zpool, rng, cfg):
+        if not any(rng is g for g in generators):
+            generators.append(rng)
+            starts.append((heap.state_digest(), rng.bit_generator.state))
+        return real_point(heap, zpool, rng, cfg)
 
     monkeypatch.setattr(ex, "init_heap", counting_init)
-    monkeypatch.setitem(ex.STUDIES, "TABLE3", study._replace(episode=recording_episode))
+    monkeypatch.setattr(pipeline, "_random_grasp_point", recording_point)
     p = ex.preset("TABLE3", episodes=30, seed=5)
     ex.run_experiment(p, sim_config)
     assert len(builds) == 30
     seeds = ex._episode_seeds(ex._cell_seed(p.seed, p.name), p.episodes)
     assert builds == [hs for hs, _ in seeds]
-    # one index at a time, arm-major within it: spines off, then on
-    assert len(starts) == 60
-    for i, (heap_seed, ops_seed) in enumerate(seeds):
-        off, on = starts[2 * i], starts[2 * i + 1]
-        assert (off[2], on[2]) == (False, True)
-        assert off[:2] == on[:2]
-        assert off[1] == ops_seed
-        assert off[0] == real_init(sim_config, heap_seed).state_digest()
-    assert len({s[0] for s in starts}) == 30
+    # both arms pre-grasp: one sequence per index, on the built heap and a
+    # fresh generator on the index's ops seed
+    assert len(starts) == 30
+    for (digest, state), (heap_seed, ops_seed) in zip(starts, seeds):
+        assert digest == real_init(sim_config, heap_seed).state_digest()
+        assert state == np.random.default_rng(ops_seed).bit_generator.state
+    assert len({d for d, _ in starts}) == 30
 
 
 def test_episode_index_copies_all_but_the_last_heap(sim_config, trained_model, monkeypatch):
@@ -390,3 +395,85 @@ def test_paired_rows_are_arm_differences_per_cell_and_band(sim_config):
                    for arm in ("pregrasp=on", "pregrasp=off"))
         # one resampling of the indices serves both arms and their difference
         assert row["mean_pp"] == pytest.approx(on - off, abs=1e-9)
+
+
+# ---------------------------------------------------------------- one grasp sequence per flag
+
+# The per-episode loop that TABLE2 and TABLE3 ran until one grasp sequence
+# served every arm x drop of a pre-grasp flag, kept as the reference.
+
+def _random_grasp_episode(sim_cfg, model, heap, rng_seed, drop_g, pregrasp, spines):
+    """One TABLE2/TABLE3 style episode: random grasp (re-grasping light loads),
+    then drop `drop_g` by post-grasping. The model is not used."""
+    rng = np.random.default_rng(rng_seed)
+    before = total_mass(heap)
+    for retries in range(30):
+        x, y, z = pipeline._random_grasp_point(heap, Z_POOL_DEEP, rng, sim_cfg)
+        if pregrasp:
+            apply_pregrasp(heap, x, y, z, rng, sim_cfg)
+        outcome = execute_grasp(heap, x, y, z, rng, sim_cfg)
+        if outcome.grasped_mass >= drop_g + REGRASP_MARGIN_G:
+            break
+        release_mass(heap, x, y, outcome.grasped_mass, sim_cfg)
+    else:
+        return {"ok": False, "retries": 30, "imbalance": 0.0}
+    target = outcome.grasped_mass - drop_g
+    load = make_gripper_load(outcome, sim_cfg.postgrasp, spines)
+    scale = ScaleState(params=sim_cfg.scale)
+    final, _ = pipeline.run_postgrasp(load, target, scale, sim_cfg.postgrasp, rng)
+    return {"ok": True, "retries": retries, "err": abs(final - target),
+            "imbalance": before - total_mass(heap) - outcome.grasped_mass}
+
+
+def _reference_index(sim_config, arms, drops, heap_seed, ops_seed):
+    """One fresh copy of the index's heap and one fresh generator per arm x
+    drop, each running the whole per-episode loop."""
+    return ex._run_index(_random_grasp_episode, False, sim_config, None, arms, drops,
+                         heap_seed, ops_seed)
+
+
+@pytest.mark.parametrize("name, drops, episodes", [
+    ("TABLE2", (3.0, 25.0, 40.0), 30),   # re-grasps at every drop but 3 g
+    ("TABLE3", (3.0, 25.0, 40.0), 12),
+    ("TABLE2", (10.0, 500.0), 2),        # 500 g: 30 failed attempts
+    ("TABLE3", (500.0,), 2),
+    ("TABLE2", (10.0, 4.0, 10.0), 6),    # a repeated drop
+    ("TABLE3", (10.0, 10.0), 6),
+])
+def test_random_grasp_index_equals_per_episode_loop(sim_config, name, drops, episodes):
+    p = ex.preset(name, episodes=30, seed=5, drops_g=drops)
+    arms = tuple(kw for _, kw in p.arms)
+    results = []
+    for heap_seed, ops_seed in ex._episode_seeds(ex._cell_seed(p.seed, p.name), 30)[:episodes]:
+        got = ex._random_grasp_index(sim_config, None, arms, drops, heap_seed, ops_seed)
+        assert got == _reference_index(sim_config, arms, drops, heap_seed, ops_seed)
+        results.extend(zip([d for _ in arms for d in drops], got))
+    for drop in drops:
+        retries = [r["retries"] for d, r in results if d == drop]
+        if drop >= 500:
+            assert retries == [30] * len(retries)
+        elif drop >= 25:
+            assert 0 < sum(n > 0 for n in retries) < len(retries)
+
+
+@pytest.mark.parametrize("name, sequences", [("TABLE2", 2), ("TABLE3", 1)])
+def test_random_grasp_index_runs_one_sequence_per_pregrasp_flag(sim_config, monkeypatch,
+                                                               name, sequences):
+    heaps = []
+    real_grasp = ex.execute_grasp
+
+    def recording_grasp(heap, *args):
+        heaps.append(heap)
+        return real_grasp(heap, *args)
+
+    monkeypatch.setattr(ex, "execute_grasp", recording_grasp)
+    p = ex.preset(name, episodes=30, seed=5)
+    arms = tuple(kw for _, kw in p.arms)
+    for heap_seed, ops_seed in ex._episode_seeds(ex._cell_seed(p.seed, p.name), 4):
+        heaps.clear()
+        results = ex._random_grasp_index(sim_config, None, arms, p.drops_g, heap_seed, ops_seed)
+        assert len({id(h) for h in heaps}) == sequences
+        # each sequence grasps as often as its longest drop needed
+        per_flag = len(results) // sequences
+        assert len(heaps) == sum(1 + max(r["retries"] for r in results[i:i + per_flag])
+                                 for i in range(0, len(results), per_flag))

@@ -226,7 +226,7 @@ def test_grasp_operations_pinned_bits(doc, seed, digest, masses):
     assert grasp_sequence(doc, seed, seed + 1, 100) == (digest, masses)
 
 
-@given(w=st.integers(43, 440), d=st.integers(25, 320),
+@given(w=st.integers(sim.PATCH_SIDE, 440), d=st.integers(sim.PATCH_SIDE, 320),
        corr=st.floats(1.0, 60.0), amp=st.one_of(st.just(0.0), st.floats(0.05, 8.0)),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
@@ -246,11 +246,31 @@ def test_init_heap_fields_are_owned_and_separate(tray):
     heap = sim.init_heap(sim.SimConfig(tray_mm=tray), seed=2)
     fields = heap_fields(heap)
     for name, a in fields.items():
-        assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata, name
+        assert a.flags.c_contiguous and a.flags.owndata, name
+        # the fresh fields are never written after the build
+        assert a.flags.writeable == (name not in ("lambda_fresh", "rho_fresh")), name
     names = list(fields)
     for i, p in enumerate(names):
         for q in names[i + 1:]:
             assert not np.shares_memory(fields[p], fields[q]), (p, q)
+
+
+def test_copy_shares_the_read_only_fresh_fields():
+    heap = sim.init_heap(sim.SimConfig(), seed=4)
+    twin = heap.copy()
+    # a copy writes the three mutable fields and shares the two fresh ones
+    assert twin.lambda_fresh is heap.lambda_fresh and twin.rho_fresh is heap.rho_fresh
+    for name in ("heights", "entanglement", "bulk_density"):
+        assert not np.shares_memory(getattr(twin, name), getattr(heap, name)), name
+    sim.execute_grasp(twin, 200, 150, 2.0, np.random.default_rng(0), sim.SimConfig())
+    assert twin.state_digest() != heap.state_digest()
+    assert heap.state_digest() == sim.init_heap(sim.SimConfig(), seed=4).state_digest()
+    # a stray write raises instead of reaching every copy
+    for fresh in (heap.lambda_fresh, twin.rho_fresh):
+        with pytest.raises(ValueError, match="read-only"):
+            fresh[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            fresh *= 2.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -572,8 +592,8 @@ def operation_sequences(draw):
     """A small seeded tray (one of the fills lies within 2 mm of the brim)
     and a random sequence of pre-grasps, grasps and releases on it: each
     step is (kind, x, y, z_cm, release_g)."""
-    w = draw(st.integers(50, 200))
-    d = draw(st.integers(30, 140))
+    w = draw(st.integers(sim.PATCH_SIDE, 200))
+    d = draw(st.integers(sim.PATCH_SIDE, 200))
     fill = draw(st.sampled_from([60.0, 140.0, 158.5]))
     cfg = sim.SimConfig(tray_mm=(w, d, 160), fill_mm=fill,
                         noise=sim.NoiseParams(amp_mm=draw(st.floats(0.0, 3.0))))
