@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from entpick import experiments as ex
-from entpick import mdn, pipeline, select, sim
+from entpick import cli, mdn, pipeline, select, sim
 from entpick.sim import PatchObservation
 
 
@@ -62,36 +62,16 @@ def main():
     print("modes: multi-z %d  single-z %d" % (ex.count_modes(hist), ex.count_modes(hist1)))
 
     wanted = set(args.tables.split(","))
-    if "1" in wanted:
+    studies = {"1": ("TABLE1", 5, {}), "2": ("TABLE2", 6, {"drops_g": (3.0, 5.0, 10.0)}),
+               "3": ("TABLE3", 7, {}), "4": ("TABLE4", 8, {})}
+    for key, (name, seed, kw) in studies.items():
+        if key not in wanted:
+            continue
         t0 = time.perf_counter()
-        r = ex.run_experiment(ex.preset("TABLE1", episodes=args.episodes, seed=5), cfg, model)
-        print("TABLE1 (%.0fs):" % (time.perf_counter() - t0))
-        for c in r.cells:
-            print("  %-9s target %5.1f: %5.1f +- %4.1f" % (c["arm"], c["target_g"],
-                                                           c["mean_pct"], c["std_pct"]))
+        r = ex.run_experiment(ex.preset(name, episodes=args.episodes, seed=seed, **kw), cfg, model)
+        print("%s (%.0fs):" % (name, time.perf_counter() - t0))
+        cli.print_cells(r)
         print("  counts:", r.counts)
-    if "2" in wanted:
-        t0 = time.perf_counter()
-        r = ex.run_experiment(ex.preset("TABLE2", episodes=args.episodes, seed=6,
-                                        drops_g=(3.0, 5.0, 10.0)), cfg)
-        print("TABLE2 (%.0fs):" % (time.perf_counter() - t0))
-        for c in r.cells:
-            print("  %-13s drop %4.1f band %.0f: %5.1f +- %4.1f" % (
-                c["arm"], c["target_g"], c["band_g"], c["mean_pct"], c["std_pct"]))
-    if "3" in wanted:
-        t0 = time.perf_counter()
-        r = ex.run_experiment(ex.preset("TABLE3", episodes=args.episodes, seed=7), cfg)
-        print("TABLE3 (%.0fs):" % (time.perf_counter() - t0))
-        for c in r.cells:
-            print("  %-11s band %.0f: %5.1f +- %4.1f" % (c["arm"], c["band_g"],
-                                                         c["mean_pct"], c["std_pct"]))
-    if "4" in wanted:
-        t0 = time.perf_counter()
-        r = ex.run_experiment(ex.preset("TABLE4", episodes=args.episodes, seed=8), cfg, model)
-        print("TABLE4 (%.0fs):" % (time.perf_counter() - t0))
-        for c in r.cells:
-            print("  %-9s target %5.1f band %.0f: %5.1f +- %4.1f" % (
-                c["arm"], c["target_g"], c["band_g"], c["mean_pct"], c["std_pct"]))
         for rr in r.regrasp:
             print("  regrasp %-9s target %5.1f: %.0f%%" % (rr["arm"], rr["target_g"], rr["rate_pct"]))
 

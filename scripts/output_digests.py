@@ -13,8 +13,9 @@ The outputs:
     seed 7), which the selection outputs below use;
   - ``collect``/``train``: the dataset bytes of ``collect --n 200 --seed
     12345`` and the checkpoint bytes of ``train --seed 3`` on it;
-  - ``inspect``: three selection reports on the test model, and exit code
-    plus stdout with the output directory masked;
+  - ``inspect``: four selection reports on the test model, the last on a
+    170 x 160 tray whose lattice is one point, and exit code plus stdout
+    with the output directory masked;
   - ``run_episode_batch``: summary and traces at the 50th-percentile
     target, 12 episodes on seed 3, for alpha 0 and 1 with trace on and off;
     and at the 10th percentile, alpha 1, seed 4, on 1 and 2 workers;
@@ -68,11 +69,18 @@ def cli_outputs(model, tmp):
 
     test_model = tmp / "test_model.json"
     mdn.save_checkpoint(model, test_model)
-    for target, alpha, seed in (("20", "1.0", "0"), ("33.99", "0.0", "3"), ("500", "1.0", "1")):
+    one_point = tmp / "tray170x160.json"
+    one_point.write_text(json.dumps({"tray_mm": [170, 160, 160]}))
+    for target, alpha, seed, config in (("20", "1.0", "0", None), ("33.99", "0.0", "3", None),
+                                        ("500", "1.0", "1", None), ("20", "1.0", "0", one_point)):
         name = f"inspect.target{target}.alpha{alpha}.seed{seed}"
+        extra = ()
+        if config is not None:
+            name += f".{config.stem}"
+            extra = ("--config", config)
         out = tmp / "inspect.json"
         code, stdout = run_cli("inspect", test_model, "--target", target, "--alpha", alpha,
-                               "--seed", seed, "--out", out)
+                               "--seed", seed, "--out", out, *extra)
         emit(f"{name}.report", out.read_bytes())
         emit(f"{name}.exit_stdout", f"exit {code}\n{stdout}".replace(str(tmp), "<out>").encode())
 

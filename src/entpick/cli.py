@@ -233,11 +233,17 @@ def cmd_experiment(args) -> int:
     _dump_json(report.to_dict(), args.out)
     write_manifest(args.out, "experiment", args, [str(args.out)], {"root": args.seed})
     print(f"{name}: {len(report.cells)} cells -> {args.out}")
+    print_cells(report)
+    return 0
+
+
+def print_cells(report) -> None:
+    """One line per cell of a study report: arm, target, band, and the
+    bootstrap mean and std of the success rate."""
     for c in report.cells:
         band = f" band +-{c['band_g']:.0f}g" if c.get("band_g") else ""
         print(f"  {c['arm']:<14} target {c['target_g']:6.1f}{band}: "
               f"{c['mean_pct']:5.1f} +- {c['std_pct']:4.1f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,7 @@ def _run_index(episode, selects, sim_config, model, arms, values, heap_seed, ops
     heap = init_heap(sim_config, heap_seed)
     shared = {}
     if selects:
-        shared["lattice"] = _score_lattice(model, heap, SelectionConfig(target_mass_g=0.0),
-                                           sim_config.clearance_mm)
+        shared["lattice"] = _score_lattice(model, heap, sim_config.clearance_mm)
     jobs = [(kw, value) for kw in arms for value in values]
     return [episode(sim_config, model, heap if i == len(jobs) - 1 else heap.copy(), ops_seed,
                     value, **shared, **kw)

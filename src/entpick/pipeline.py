@@ -46,7 +46,7 @@ RETRY_CAP = 10
 
 @dataclass
 class EpisodeConfig:
-    """An inference episode. Selection uses the default SelectionConfig
+    """An inference episode. Selection scores the fixed SelectionConfig
     lattice; pre-grasping and the spines are always on."""
 
     sim: SimConfig
@@ -120,8 +120,8 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
     """One target-mass pick with release-and-retry and post-grasp adjustment.
 
     `lattice`, when given, is ``select._score_lattice`` of `heap` exactly as
-    passed, with the default candidate lattice: the first pick reads it
-    instead of scoring again. Every retry scores the mutated heap."""
+    passed: the first pick reads it instead of scoring again. Every retry
+    scores the mutated heap."""
     events = []
     retries = 0
     chosen = None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,27 +29,20 @@ DEPTH_UNITS_PER_CM = 200
 
 @dataclass
 class SelectionConfig:
+    """What one pick aims at: the target mass and the weight alpha of sigma
+    in the feasibility rule. The candidate lattice is the same for every
+    pick: every ``stride_px`` px at least ``margin_px`` from each tray edge,
+    crossed with the ``z_candidates_cm`` depths. Each depth is a whole
+    multiple of 0.005 cm, as the capture channel of ``_score_grid`` needs."""
     target_mass_g: float
     alpha: float = 1.0
-    stride_px: int = 15
-    z_candidates_cm: tuple = Z_INFER_DEEP
-    margin_px: int = PATCH_MARGIN
+    stride_px: ClassVar[int] = 15
+    margin_px: ClassVar[int] = PATCH_MARGIN
+    z_candidates_cm: ClassVar[tuple] = Z_INFER_DEEP
 
     def __post_init__(self):
-        if self.stride_px < 1:
-            raise ValueError("stride must be at least 1 px")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        zs = tuple(self.z_candidates_cm)
-        if not zs or list(zs) != sorted(zs):
-            raise ValueError("z candidates must be a non-empty sorted list")
-        for z in zs:
-            if abs(z * DEPTH_UNITS_PER_CM - round(z * DEPTH_UNITS_PER_CM)) > 1e-9:
-                raise ValueError(f"z_candidates_cm entries must be whole multiples of "
-                                 f"{1 / DEPTH_UNITS_PER_CM} cm, got {z!r}")
-        if self.margin_px < PATCH_MARGIN:
-            raise ValueError(f"margin must be at least {PATCH_MARGIN} px so patches fit")
-        self.z_candidates_cm = zs
 
 
 @dataclass
@@ -62,28 +56,27 @@ class SelectedGrasp:
     index: int
 
 
-def _axis_points(length: int, margin: int, stride: int) -> list:
+def _axis_points(length: int) -> list:
+    margin, stride = SelectionConfig.margin_px, SelectionConfig.stride_px
     interior = length - 2 * margin
-    if interior < 0:
-        return []
-    n = interior // stride + 1
+    n = max(interior // stride + 1, 0)
     start = margin + (interior - (n - 1) * stride) // 2
     return [start + i * stride for i in range(n)]
 
 
-def _lattice_points(heap_dims: tuple, config: SelectionConfig) -> list:
-    """(x, y) lattice in row-major order (y rows, then x). A stride wider
-    than the interior leaves one centred point."""
-    xs = _axis_points(heap_dims[0], config.margin_px, config.stride_px)
-    ys = _axis_points(heap_dims[1], config.margin_px, config.stride_px)
+def _lattice_points(heap_dims: tuple) -> list:
+    """(x, y) lattice in row-major order (y rows, then x). An interior
+    narrower than the stride leaves one centred point."""
+    xs = _axis_points(heap_dims[0])
+    ys = _axis_points(heap_dims[1])
     return [(x, y) for y in ys for x in xs]
 
 
-def enumerate_candidates(heap_dims: tuple, config: SelectionConfig) -> list:
+def enumerate_candidates(heap_dims: tuple, config: SelectionConfig = None) -> list:
     """(x, y, z) lattice in deterministic row-major order (y rows, then x,
-    then z)."""
-    return [(x, y, z) for x, y in _lattice_points(heap_dims, config)
-            for z in config.z_candidates_cm]
+    then z). Every config shares it, so ``config`` is not read."""
+    return [(x, y, z) for x, y in _lattice_points(heap_dims)
+            for z in SelectionConfig.z_candidates_cm]
 
 
 def _reduce_mixture(pi, mu, sigma):
@@ -139,7 +132,7 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     tip plane, a footprint of n cells captures
     (2 sum(u) - n t + sum(max(t - 2u, 0))) / 20 mm, and ``_capture_sums``
     gathers each footprint once for every depth. The depths must be whole
-    multiples of 0.005 cm, as ``SelectionConfig`` checks.
+    multiples of 0.005 cm, as ``SelectionConfig.z_candidates_cm`` are.
     """
     n_xy = len(xy_points)
     n_z = len(z_list)
@@ -195,15 +188,12 @@ def _pick(target, alpha, mu, sigma):
     return int(np.argmin(score)), feasible
 
 
-def _score_lattice(model, heap, config, clearance_mm):
+def _score_lattice(model, heap, clearance_mm):
     """The enumerated candidates with their flat (mu, sigma) arrays, in
-    enumeration order; all three are empty when there are no candidates."""
-    cands = enumerate_candidates(heap.tray_mm, config)
-    if not cands:
-        return cands, np.empty(0), np.empty(0)
-    xy_points = _lattice_points(heap.tray_mm, config)
-    mu, sigma = _score_grid(model, heap, xy_points, config.z_candidates_cm, clearance_mm)
-    return cands, mu.ravel(), sigma.ravel()
+    enumeration order."""
+    mu, sigma = _score_grid(model, heap, _lattice_points(heap.tray_mm),
+                            SelectionConfig.z_candidates_cm, clearance_mm)
+    return enumerate_candidates(heap.tray_mm), mu.ravel(), sigma.ravel()
 
 
 def pick_grasp(lattice, config: SelectionConfig):
@@ -224,13 +214,13 @@ def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfi
                  clearance_mm: float = SimConfig.clearance_mm):
     """Best grasp point under the uncertainty-penalised criterion, or None
     when no candidate is feasible."""
-    return pick_grasp(_score_lattice(model, heap, config, clearance_mm), config)
+    return pick_grasp(_score_lattice(model, heap, clearance_mm), config)
 
 
 def selection_report(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,
                      clearance_mm: float = SimConfig.clearance_mm) -> dict:
     """Every candidate with its score plus the winner, for inspection."""
-    cands, flat_mu, flat_sigma = _score_lattice(model, heap, config, clearance_mm)
+    cands, flat_mu, flat_sigma = _score_lattice(model, heap, clearance_mm)
     idx, feasible = _pick(config.target_mass_g, config.alpha, flat_mu, flat_sigma)
     scores = np.abs(config.target_mass_g - flat_mu) + flat_sigma
     rows = []

@@ -150,9 +150,6 @@ class ClumpParams:
         check_number("SimConfig.clump_lognormal.sigma", self.sigma, 0)
         check_number("SimConfig.clump_lognormal.r_mm", self.r_mm, 0, lo_open=True)
 
-    def mean_mass_g(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma ** 2)
-
 
 @dataclass
 class PregraspParams:
@@ -221,6 +218,11 @@ class SimConfig:
 
     def __post_init__(self):
         self.tray_mm = check_tuple("SimConfig.tray_mm", self.tray_mm, 3, 0, lo_open=True)
+        # the heap grid is 1 mm, and HeapState keeps the tray as whole mm
+        for i, side in enumerate(self.tray_mm):
+            if side != int(side):
+                raise ValueError(f"SimConfig.tray_mm[{i}] must be a whole number of mm, "
+                                 f"got {side!r}")
         check_number("SimConfig.fill_mm", self.fill_mm, 0, self.tray_mm[2])
         self.lambda_range = check_tuple("SimConfig.lambda_range", self.lambda_range, 2, 0, 1,
                                          ordered=True)
@@ -238,7 +240,7 @@ class SimConfig:
             if foot > PATCH_SIDE:
                 raise ValueError(f"SimConfig.footprint_mm[{i}] must be at most {PATCH_SIDE} mm, "
                                  f"or a grasp at the patch margin leaves the tray, got {foot!r}")
-            if craters and 2 * (int(foot / 2) + 1) >= int(side):
+            if craters and 2 * (int(foot / 2) + 1) >= side:
                 raise ValueError(f"SimConfig.footprint_mm[{i}] = {foot!r} leaves no room for "
                                  f"a crater across a tray side of {side!r} mm")
         check_number("SimConfig.eta_fill", self.eta_fill, 0, 1, lo_open=True)

@@ -283,6 +283,10 @@ SMALL_TRAY = {"tray_mm": [160, 160, 160]}
     ({**SMALL_TRAY, "fill_mm": 100, "footprint_mm": [160, 22.5]}, "footprint_mm[0]"),
     ({**SMALL_TRAY, "footprint_mm": [40, 158]}, "footprint_mm[1]"),
     ({"tray_mm": [162, 308, 160], "footprint_mm": [160, 22.5]}, "footprint_mm[0]"),
+    # the heap grid is whole mm: a fractional depth once ended in exit 1,
+    # "heights out of tray range", and a fractional width was truncated
+    ({"tray_mm": [424, 308, 160.5], "fill_mm": 160.5}, "tray_mm[2]"),
+    ({"tray_mm": [424.5, 308, 160]}, "tray_mm[0]"),
 ])
 def test_sim_config_rejects_sizes_that_cannot_be_picked(workdir, doc, field):
     with pytest.raises(ValueError, match=f"SimConfig.{field}".replace("[", r"\[")):
@@ -305,6 +309,8 @@ def test_sim_config_accepts_the_widest_crater():
     {**SMALL_TRAY, "footprint_mm": [160, 160], "noise": {"amp_mm": 0.0}},
     {**SMALL_TRAY, "footprint_mm": [160, 160], "noise": {"craters": [0, 0]}},
     {"tray_mm": [163, 308, 160], "footprint_mm": [160, 22.5]},
+    # whole sides written as floats
+    {"tray_mm": [424.0, 308.0, 160.0]},
 ])
 def test_smallest_trays_and_widest_footprints_collect(workdir, doc):
     config = write_json(workdir / "small_tray.json", doc)

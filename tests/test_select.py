@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,41 +28,35 @@ def brute_force_pick(target, alpha, mus, sigmas):
 
 def test_lattice_count_hand_derived():
     # interior 300 x 200 px, stride 15, 9 z values -> 21 * 14 * 9 = 2646
-    cfg = SelectionConfig(target_mass_g=20.0, stride_px=15, margin_px=80)
-    cands = select.enumerate_candidates((460, 360, 160), cfg)
+    cands = select.enumerate_candidates((460, 360, 160))
     assert len(cands) == 21 * 14 * 9 == 2646
 
 
 def test_stride_wider_than_interior_centres_single_point():
-    cfg = SelectionConfig(target_mass_g=20.0, stride_px=500, margin_px=80,
-                          z_candidates_cm=(2.0,))
-    cands = select.enumerate_candidates((424, 308, 160), cfg)
-    assert len(cands) == 1
-    x, y, z = cands[0]
-    assert x == 80 + (424 - 160) // 2
-    assert y == 80 + (308 - 160) // 2
+    # interiors of 10 and 0 px, both narrower than the 15 px stride
+    cands = select.enumerate_candidates((170, 160, 160))
+    assert cands == [(85, 80, z) for z in sim.Z_INFER_DEEP]
 
 
 def test_degenerate_interior_empty():
-    cfg = SelectionConfig(target_mass_g=20.0, margin_px=80)
-    assert select.enumerate_candidates((150, 150, 160), cfg) == []
+    assert select.enumerate_candidates((150, 150, 160)) == []
+    assert select.enumerate_candidates((424, 159, 160)) == []
 
 
 def test_row_major_order_deterministic():
-    cfg = SelectionConfig(target_mass_g=20.0, stride_px=100, margin_px=80,
-                          z_candidates_cm=(2.0, 3.0))
-    cands = select.enumerate_candidates((424, 308, 160), cfg)
+    cands = select.enumerate_candidates((424, 308, 160))
     assert cands == sorted(cands, key=lambda c: (c[1], c[0], c[2]))
 
 
 def test_depths_must_be_whole_multiples_of_005_cm():
-    for z in (2.001, 2.0049, 3.1234):
-        with pytest.raises(ValueError, match="z_candidates_cm"):
-            SelectionConfig(target_mass_g=20.0, z_candidates_cm=(2.0, z))
-    # the shipped depths, and decimal multiples of 0.005 cm that float
-    # arithmetic does not scale to exact integers (2.345 * 200 != 469)
-    for zs in (sim.Z_INFER_DEEP, sim.Z_POOL_DEEP, (0.005, 2.345, 3.995)):
-        assert SelectionConfig(target_mass_g=20.0, z_candidates_cm=zs).z_candidates_cm == zs
+    """The lattice is a class constant, readable on any config, and each
+    depth is a whole number of the 0.05 mm units ``_capture_sums`` needs."""
+    cfg = SelectionConfig(target_mass_g=20.0, alpha=0.5)
+    assert (cfg.stride_px, cfg.margin_px, cfg.z_candidates_cm) == (
+        15, sim.PATCH_MARGIN, sim.Z_INFER_DEEP)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["target_mass_g", "alpha"]
+    for z in cfg.z_candidates_cm:
+        assert (z * select.DEPTH_UNITS_PER_CM).is_integer(), z
 
 
 # ---------------------------------------------------------------- score_candidate
@@ -209,8 +204,7 @@ def test_infinite_sigma_never_beats_finite():
 
 def test_select_grasp_end_to_end_agrees_with_per_candidate_scan(heap_and_model):
     cfg, heap, model = heap_and_model
-    scfg = SelectionConfig(target_mass_g=15.0, alpha=1.0, stride_px=60,
-                           z_candidates_cm=(2.0, 3.0, 4.0))
+    scfg = SelectionConfig(target_mass_g=15.0, alpha=1.0)
     sel = select.select_grasp(model, heap, scfg)
     cands = select.enumerate_candidates(heap.tray_mm, scfg)
     mus, sigmas = [], []
@@ -228,8 +222,7 @@ def test_select_grasp_end_to_end_agrees_with_per_candidate_scan(heap_and_model):
 
 def test_selection_report_shape(heap_and_model):
     cfg, heap, model = heap_and_model
-    scfg = SelectionConfig(target_mass_g=15.0, alpha=0.5, stride_px=100,
-                           z_candidates_cm=(2.0, 3.0))
+    scfg = SelectionConfig(target_mass_g=15.0, alpha=0.5)
     report = select.selection_report(model, heap, scfg)
     assert report["n_candidates"] == len(report["candidates"])
     for row in report["candidates"]:
@@ -240,18 +233,20 @@ def test_selection_report_shape(heap_and_model):
 
 
 # all feasible; some feasible, where the best score overall is infeasible;
-# none feasible; an empty lattice
-@pytest.mark.parametrize("target, alpha, margin", [
-    (2.0, 0.5, None), (19.5, 0.0, None), (15.0, 0.5, None), (2.0, 0.5, 10_000)])
-def test_selection_report_agrees_with_score_all_and_select(heap_and_model, target, alpha,
-                                                           margin):
+# none feasible; a 170 x 160 tray, whose lattice is one point
+@pytest.mark.parametrize("target, alpha, tray", [
+    (2.0, 0.5, None), (19.5, 0.0, None), (15.0, 0.5, None),
+    pytest.param(2.0, 0.5, (170, 160, 160), id="2.0-0.5-one_point")])
+def test_selection_report_agrees_with_score_all_and_select(heap_and_model, target, alpha, tray):
     """The report against scoring all candidates (``_score_lattice``), picked
     by ``brute_force_pick``, and against ``select_grasp``."""
     cfg, heap, model = heap_and_model
-    extra = {} if margin is None else {"margin_px": margin}
-    scfg = SelectionConfig(target_mass_g=target, alpha=alpha, stride_px=60, **extra)
+    if tray is not None:
+        cfg = sim.SimConfig(tray_mm=tray)
+        heap = sim.init_heap(cfg, seed=5)
+    scfg = SelectionConfig(target_mass_g=target, alpha=alpha)
     report = select.selection_report(model, heap, scfg)
-    cands, mus, sigmas = select._score_lattice(model, heap, scfg, cfg.clearance_mm)
+    cands, mus, sigmas = select._score_lattice(model, heap, cfg.clearance_mm)
     want_idx, want_feasible = brute_force_pick(target, alpha, mus.tolist(), sigmas.tolist())
     rows = []
     for (x, y, z), mu, sigma, ok in zip(cands, mus.tolist(), sigmas.tolist(), want_feasible):
@@ -351,7 +346,7 @@ CAPTURE_SHAPE = (40, 24)
 def lattice_footprints(heap, zs):
     """Integer grid, footprint origins and tip planes of the default lattice,
     as ``_score_grid`` builds them for the capture window."""
-    xy = np.array(select._lattice_points(heap.tray_mm, SelectionConfig(target_mass_g=20.0)))
+    xy = np.array(select._lattice_points(heap.tray_mm))
     m = sim.PATCH_MARGIN
     units = sim.height_units(heap.heights)
     med = sim.batch_unit_medians(units, xy[:, 0] - m, xy[:, 1] - m, (2 * m, 2 * m))
