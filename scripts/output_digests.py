@@ -11,6 +11,11 @@ the working tree) and compare the columns:
 The outputs:
   - ``model.theta``: the default test model (collection seed 101, model
     seed 7), which the selection outputs below use;
+  - ``features``: the model features of the eval rows of that collection,
+    the variant table of its first 8 train rows, and the features of the
+    observed patch at every lattice point and depth of the seed-5 heap,
+    each under the default ``ModelConfig``; patches go in as stacked
+    arrays, which every version of ``features_from_rows`` takes;
   - ``collect``/``train``: the dataset bytes of ``collect --n 200 --seed
     12345`` and the checkpoint bytes of ``train --seed 3`` on it;
   - ``inspect``: four selection reports on the test model, the last on a
@@ -36,7 +41,9 @@ import subprocess
 import sys
 import tempfile
 
-from entpick import cli, experiments, mdn, pipeline, sim
+import numpy as np
+
+from entpick import cli, experiments, mdn, pipeline, select, sim
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH_SEEDS = {"collect_train": 901, "session": 951, "studies": 801}
@@ -58,6 +65,22 @@ def run_cli(*argv) -> tuple:
     with contextlib.redirect_stdout(stdout):
         code = cli.main([str(a) for a in argv])
     return code, stdout.getvalue()
+
+
+def feature_outputs(dataset):
+    cfg = mdn.ModelConfig()
+    rows = dataset.eval_rows()
+    feats = mdn.features_from_rows(np.stack([r.patch for r in rows]),
+                                   np.array([r.z_cm for r in rows]), cfg)
+    emit("features.eval.seed101", feats.tobytes())
+    emit("features.variants.seed101.train8",
+         mdn._variant_features(dataset.train_rows()[:8], cfg).tobytes())
+    heap = sim.init_heap(sim.SimConfig(), seed=5)
+    zs = np.array(select.SelectionConfig.z_candidates_cm)
+    lattice = [mdn.features_from_rows(np.repeat(sim.observe_patch(heap, x, y).heights[None],
+                                                len(zs), axis=0), zs, cfg)
+               for x, y in select._lattice_points(heap.tray_mm)]
+    emit("features.lattice.seed5", np.concatenate(lattice).tobytes())
 
 
 def cli_outputs(model, tmp):
@@ -125,8 +148,10 @@ def perfbench_outputs():
 
 def main():
     sim_cfg = sim.SimConfig()
-    model = mdn.train(pipeline.run_collection(sim_cfg, 200, seed=101), mdn.ModelConfig(seed=7))
+    dataset = pipeline.run_collection(sim_cfg, 200, seed=101)
+    model = mdn.train(dataset, mdn.ModelConfig(seed=7))
     emit("model.theta", model.theta.tobytes())
+    feature_outputs(dataset)
     with tempfile.TemporaryDirectory() as tmp:
         cli_outputs(model, pathlib.Path(tmp))
     batch_outputs(sim_cfg, model)

@@ -123,7 +123,7 @@ def cmd_collect(args) -> int:
     cfg = _load_sim_config(args)
     try:
         dataset = pipeline.run_collection(cfg, args.n, zpool=tuple(args.zpool), seed=args.seed)
-    except RuntimeError as exc:
+    except pipeline.NoClearDepthError as exc:
         raise UsageError(f"--zpool {' '.join(f'{z:g}' for z in args.zpool)}: {exc}") from exc
     dataset.to_jsonl(args.out)
     write_manifest(args.out, "collect", args, [str(args.out)], {"root": args.seed})
@@ -234,6 +234,7 @@ def cmd_experiment(args) -> int:
     write_manifest(args.out, "experiment", args, [str(args.out)], {"root": args.seed})
     print(f"{name}: {len(report.cells)} cells -> {args.out}")
     print_cells(report)
+    print_paired(report)
     return 0
 
 
@@ -244,6 +245,19 @@ def print_cells(report) -> None:
         band = f" band +-{c['band_g']:.0f}g" if c.get("band_g") else ""
         print(f"  {c['arm']:<14} target {c['target_g']:6.1f}{band}: "
               f"{c['mean_pct']:5.1f} +- {c['std_pct']:4.1f}")
+
+
+def print_paired(report) -> None:
+    """One line per paired row of a study report (arms, target, band, and the
+    bootstrap mean and std of the difference), then the smallest of them."""
+    lines = [f"{r['difference']}  target {r['target_g']:.1f} g"
+             + (f"  band +-{r['band_g']:.0f} g" if r.get("band_g") else "")
+             + f":  {r['mean_pp']:+.2f} +- {r['std_pp']:.2f} pp" for r in report.paired]
+    for line in lines:
+        print("  " + line)
+    if lines:
+        i = min(range(len(lines)), key=lambda i: report.paired[i]["mean_pp"])
+        print("smallest difference: " + lines[i])
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +333,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         _print_error(exc)
+        return 2
+    except pipeline.NoClearDepthError as exc:   # a study's depths are fixed: its config is at fault
+        _print_error(f"simulator config {args.config or '(default)'}: {exc}")
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         log.debug("command failed", exc_info=True)

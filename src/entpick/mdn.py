@@ -10,11 +10,15 @@ minimises the negative log likelihood of the observed masses with exact
 reverse-mode gradients and an adaptive-moment optimizer; flips and random
 crops exploit the gripper symmetry on the tiny datasets this is meant for.
 
+Features have one rule, ``_features``, which divides exact integer sums of
+heights in whole 0.05 mm units; ``features_from_rows``, ``_variant_features``
+and ``select._lattice_features`` reach the same sums, so the same bits.
+
 Training works in feature space. Every feature is a rectangle sum, and a
 flip maps a crop rectangle to a mirrored rectangle of the unflipped patch,
 so before the first epoch ``train`` reads the features of all
 ``N_VARIANTS`` augmentations of each train row (2 x 2 flips x 11 x 11 crop
-offsets) off two summed-area tables of that row. Each epoch then draws all
+offsets) off 0/1 span-matrix products with that row. Each epoch then draws all
 its augmentations in one read of the generator (``_draw_variants``), the
 same stream, bit for bit, that one ``augment`` call per row would consume,
 and each step gathers its batch from that table; ``augment`` and
@@ -38,7 +42,6 @@ from .sim import (PATCH_SIDE, PatchObservation, check_config_keys, check_int,
                   check_number)
 
 CROP_SIDE = 150
-HEIGHT_SCALE = 0.1   # mm -> feature units
 LOG_2PI = math.log(2.0 * math.pi)
 PATCH_DTYPE = np.dtype("<f8")   # dataset patch bytes: little-endian float64
 PATCH_BYTES = PATCH_SIDE * PATCH_SIDE * PATCH_DTYPE.itemsize
@@ -266,24 +269,10 @@ def init_params(config: ModelConfig) -> ModelParams:
 # features
 # ---------------------------------------------------------------------------
 
-def _pool_bounds(side_in: int, side_out: int) -> np.ndarray:
-    return (np.arange(side_out) * side_in) // side_out
-
-
-def pool_patches(patches: np.ndarray, side_out: int) -> np.ndarray:
-    """Adaptive mean-pool a (B, S, S) stack to (B, side_out**2)."""
-    b, s, s2 = patches.shape
-    if s != s2:
-        raise ValueError("patches must be square")
-    if s < side_out:
-        raise ValueError(f"patch side {s} smaller than pooled side {side_out}")
-    bounds = _pool_bounds(s, side_out)
-    widths = np.diff(np.append(bounds, s)).astype(float)
-    pooled = np.add.reduceat(np.add.reduceat(patches, bounds, axis=1), bounds, axis=2)
-    pooled /= widths[:, None] * widths[None, :]
-    return pooled.reshape(b, side_out * side_out)
-
-
+# features read heights in whole 0.05 mm units, and a depth of z cm as 200 z
+UNITS_PER_MM = 20
+DEPTH_UNITS_PER_CM = 200
+HEIGHT_SCALE = 0.1   # mm -> feature units
 CAPTURE_SCALE = 0.1  # cm^3-ish capture volume -> feature units
 # the fixed "capture" unit: a gripper-footprint-shaped window at the patch
 # centre, rectified against the insertion plane and summed - the hand-sized
@@ -291,26 +280,61 @@ CAPTURE_SCALE = 0.1  # cm^3-ish capture volume -> feature units
 CAPTURE_WINDOW_MM = (40, 24)
 
 
-def capture_volumes(patches: np.ndarray, depths_cm: np.ndarray) -> np.ndarray:
-    """Rectified capture volume: sum over the centred CAPTURE_WINDOW_MM
-    window of the relative height above the gripper tip plane,
-    max(0, rel + 10 z), in 1e3 mm^3."""
-    side = patches.shape[1]
-    cw, cl = CAPTURE_WINDOW_MM
+def _pool_spans(side_in: int, side_out: int) -> tuple:
+    """[lo, hi) of the side_out adaptive mean-pooling blocks along an axis of
+    side_in, and the areas of the blocks they make, row-major."""
+    edges = np.arange(side_out + 1) * side_in // side_out
+    widths = np.diff(edges).astype(float)
+    return edges[:-1], edges[1:], np.outer(widths, widths).ravel()
+
+
+def _capture_spans(side: int) -> tuple:
+    """[r0, r1), [c0, c1) of the CAPTURE_WINDOW_MM window centred in a side x
+    side patch."""
     c = side // 2
-    sub = patches[:, c - cw // 2:c + (cw + 1) // 2, c - cl // 2:c + (cl + 1) // 2]
-    plane = (np.asarray(depths_cm, dtype=float) * 10.0)[:, None, None]
-    return np.maximum(sub + plane, 0.0).sum(axis=(1, 2)) * 1e-3
+    cw, cl = CAPTURE_WINDOW_MM
+    return (c - cw // 2, c + (cw + 1) // 2), (c - cl // 2, c + (cl + 1) // 2)
 
 
-def features_from_rows(patches: np.ndarray, depths: np.ndarray, config: ModelConfig) -> np.ndarray:
-    side = patches.shape[1]
-    if side not in (PATCH_SIDE, CROP_SIDE):
-        raise ValueError(f"patch side must be {PATCH_SIDE} or {CROP_SIDE}, got {side}")
+def _span_matrix(lo, hi, n: int) -> np.ndarray:
+    """0/1 matrix whose row i sums [lo[i], hi[i]) of an axis of length n; its
+    products with whole units are exact whatever order the BLAS adds in."""
+    idx = np.arange(n)
+    return ((np.ravel(lo)[:, None] <= idx) & (idx < np.ravel(hi)[:, None])).astype(float)
+
+
+def _features(block_sums, areas, capture_sums, depths) -> np.ndarray:
+    """The one feature rule: unit sums (..., n_blocks) of pooling blocks of
+    ``areas``, unit sums (...) of max(rel + 10 z, 0) over the capture window
+    and depths (cm) become features (..., n_blocks + 2), equal bits for
+    equal sums."""
+    feats = np.empty(np.shape(capture_sums) + (np.size(areas) + 2,))
+    feats[..., :-2] = block_sums / areas * (HEIGHT_SCALE / UNITS_PER_MM)
+    feats[..., -2] = capture_sums * (CAPTURE_SCALE * 1e-3 / UNITS_PER_MM)
+    feats[..., -1] = depths
+    return feats
+
+
+def features_from_rows(patches, depths, config: ModelConfig) -> np.ndarray:
+    """Features of a list or stack of square median-relative patches (mm) at
+    their depths (cm). Heights are read as whole 0.05 mm units, rint(20 h),
+    held in float64; off-grid input, such as Gaussian noise, is read at the
+    nearest 0.05 mm. Depths are not rounded. The patches are copied once,
+    and the copy is scaled and rounded in place."""
+    units = np.array(patches, dtype=float)
+    side = units.shape[-1]
+    if units.shape[1:] != (side, side) or side not in (PATCH_SIDE, CROP_SIDE):
+        raise ValueError(f"patches must be square of side {PATCH_SIDE} or {CROP_SIDE}, "
+                         f"got shape {units.shape[1:]}")
+    units *= UNITS_PER_MM
+    np.rint(units, out=units)
     depths = np.asarray(depths, dtype=float)
-    pooled = pool_patches(patches, config.pooled_side) * HEIGHT_SCALE
-    cap = capture_volumes(patches, depths) * CAPTURE_SCALE
-    return np.hstack([pooled, cap[:, None], depths[:, None]])
+    lo, hi, areas = _pool_spans(side, config.pooled_side)
+    pool = _span_matrix(lo, hi, side)
+    (r0, r1), (c0, c1) = _capture_spans(side)
+    plane = (depths * DEPTH_UNITS_PER_CM)[:, None, None]
+    caps = np.maximum(units[:, r0:r1, c0:c1] + plane, 0.0).sum(axis=(1, 2))
+    return _features((pool @ units @ pool.T).reshape(len(units), -1), areas, caps, depths)
 
 
 def _obs_patch(obs: PatchObservation) -> np.ndarray:
@@ -320,10 +344,6 @@ def _obs_patch(obs: PatchObservation) -> np.ndarray:
     if patch.ndim != 2 or patch.shape[0] != patch.shape[1]:
         raise ValueError(f"expected a square patch, got shape {patch.shape}")
     return patch
-
-
-def _obs_features(obs: PatchObservation, config: ModelConfig) -> np.ndarray:
-    return features_from_rows(_obs_patch(obs)[None], np.array([obs.insertion_depth]), config)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +382,8 @@ def _forward_batch(params: ModelParams, feats: np.ndarray, want_cache=False):
 
 def mdn_forward(params: ModelParams, obs: PatchObservation) -> MixtureParams:
     """Mixture parameters for one observation (deterministic, pure)."""
-    pi, mu, sigma = _forward_batch(params, _obs_features(obs, params.config))
+    feats = features_from_rows([_obs_patch(obs)], [obs.insertion_depth], params.config)
+    pi, mu, sigma = _forward_batch(params, feats)
     return MixtureParams(pi[0].copy(), mu[0].copy(), sigma[0].copy())
 
 
@@ -387,7 +408,7 @@ def _batch_features_masses(params: ModelParams, batch):
         raise ValueError("batch must be non-empty")
     patches = [_obs_patch(obs) for obs, _ in batch]
     depths = np.array([obs.insertion_depth for obs, _ in batch], dtype=float)
-    feats = features_from_rows(np.stack(patches), depths, params.config)
+    feats = features_from_rows(patches, depths, params.config)
     masses = np.array([m for _, m in batch], dtype=float)
     return feats, masses
 
@@ -540,49 +561,30 @@ def _variant_spans(lo, hi):
             np.stack([off + hi, PATCH_SIDE - off - lo]))
 
 
-def _variant_rect_sums(sat, rows, cols) -> np.ndarray:
-    """Sums of every (row span x column span) rectangle in every variant,
-    shape (N_VARIANTS, n_row_spans * n_col_spans), from a zero-padded
-    summed-area table. The variant axis runs over (flip_v, flip_h, off_v,
-    off_h) in the order ``_draw_variant`` numbers them."""
-    r0, r1 = (a[:, None, :, None, :, None] for a in rows)
-    c0, c1 = (a[None, :, None, :, None, :] for a in cols)
-    sums = sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
-    return sums.reshape(N_VARIANTS, -1)
-
-
-def _summed_area(a: np.ndarray) -> np.ndarray:
-    sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    np.cumsum(np.cumsum(a, axis=0), axis=1, out=sat[1:, 1:])
-    return sat
-
-
 def _variant_features(rows, config: ModelConfig) -> np.ndarray:
     """Model features of every augmentation variant of every row, shape
     (len(rows), N_VARIANTS, n_features). Entry [i, _draw_variant(rng)]
     equals ``features_from_rows`` of ``augment`` of row i on the same
-    stream, up to float summation order. Built one row at a time, so only
-    one row's summed-area tables exist at once."""
+    stream, bit for bit: span matrices sum the row's units over every crop
+    block and capture window in every flip and offset. Built one row at a
+    time, so only one row's units exist at once."""
     side = config.pooled_side
-    bounds = _pool_bounds(CROP_SIDE, side)
-    ends = np.append(bounds[1:], CROP_SIDE)
-    blocks = _variant_spans(bounds, ends)
-    widths = (ends - bounds).astype(float)
-    areas = (widths[:, None] * widths[None, :]).ravel()
-    c = CROP_SIDE // 2
-    cw, cl = CAPTURE_WINDOW_MM
-    cap_rows = _variant_spans([c - cw // 2], [c + (cw + 1) // 2])
-    cap_cols = _variant_spans([c - cl // 2], [c + (cl + 1) // 2])
+    lo, hi, areas = _pool_spans(CROP_SIDE, side)
+    blocks = _span_matrix(*_variant_spans(lo, hi), PATCH_SIDE)
+    (r0, r1), (c0, c1) = _capture_spans(CROP_SIDE)
+    cap_rows = _span_matrix(*_variant_spans([r0], [r1]), PATCH_SIDE)
+    cap_cols = _span_matrix(*_variant_spans([c0], [c1]), PATCH_SIDE)
 
     table = np.empty((len(rows), N_VARIANTS, config.n_features))
     for i, row in enumerate(rows):
-        patch = np.asarray(row.patch, dtype=float)
-        pooled = _variant_rect_sums(_summed_area(patch), blocks, blocks) / areas
-        table[i, :, :side * side] = pooled * HEIGHT_SCALE
-        rectified = np.maximum(patch + row.z_cm * 10.0, 0.0)
-        cap = _variant_rect_sums(_summed_area(rectified), cap_rows, cap_cols)[:, 0] * 1e-3
-        table[i, :, side * side] = cap * CAPTURE_SCALE
-        table[i, :, -1] = row.z_cm
+        units = np.rint(np.asarray(row.patch, dtype=float) * UNITS_PER_MM)
+        # (flip_v, off_v, block_v, flip_h, off_h, block_h) to _draw_variant's order
+        sums = (blocks @ units @ blocks.T).reshape(2, N_OFFSETS, side, 2, N_OFFSETS, side)
+        sums = sums.transpose(0, 3, 1, 4, 2, 5).reshape(N_VARIANTS, side * side)
+        rectified = np.maximum(units + row.z_cm * DEPTH_UNITS_PER_CM, 0.0)
+        caps = (cap_rows @ rectified @ cap_cols.T).reshape(2, N_OFFSETS, 2, N_OFFSETS)
+        table[i] = _features(sums, areas, caps.transpose(0, 2, 1, 3).reshape(N_VARIANTS),
+                             row.z_cm)
     return table
 
 
@@ -591,9 +593,9 @@ def _variant_features(rows, config: ModelConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dataset_features(rows, config):
-    patches = np.stack([np.asarray(r.patch, dtype=float) for r in rows])
     depths = np.array([r.z_cm for r in rows])
-    return features_from_rows(patches, depths, config), np.array([r.mass_g for r in rows])
+    return (features_from_rows([r.patch for r in rows], depths, config),
+            np.array([r.mass_g for r in rows]))
 
 
 def _init_head_from_masses(params: ModelParams, masses) -> None:

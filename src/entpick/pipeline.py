@@ -199,6 +199,10 @@ def _finish(events, chosen, predicted, grasped, retries, trace, final,
 # data collection
 # ---------------------------------------------------------------------------
 
+class NoClearDepthError(RuntimeError):
+    """No pool depth clears the tray floor: the config or the pool is at fault."""
+
+
 def _random_grasp_point(heap, zpool, rng, sim_config, max_tries=200):
     """Random margin-respecting point with a depth drawn from the pool among
     the depths that keep the gripper off the tray floor."""
@@ -211,8 +215,9 @@ def _random_grasp_point(heap, zpool, rng, sim_config, max_tries=200):
         valid = [z for z in zpool if clears_floor(med, z, sim_config.clearance_mm)]
         if valid:
             return x, y, valid[int(rng.integers(len(valid)))]
-    raise RuntimeError(f"no pool depth clears the tray floor at {max_tries} random points; "
-                       "tray too depleted to place the gripper safely")
+    raise NoClearDepthError(f"no pool depth clears the tray floor at {max_tries} random points "
+                            f"(fill_mm {sim_config.fill_mm:g}, clearance_mm "
+                            f"{sim_config.clearance_mm:g}): tray too shallow or depleted")
 
 
 def run_collection(sim_config: SimConfig, n: int, zpool=Z_POOL_DEEP,

@@ -22,18 +22,14 @@ from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP,
                   batch_unit_medians, clears_floor, height_units,
                   local_median_height, observe_patch)
 
-# depths and heights meet in the capture channel as integers of 0.05 mm:
-# a 0.1 mm height unit is 2 of them, a depth of z cm is 200 z
-DEPTH_UNITS_PER_CM = 200
-
-
 @dataclass
 class SelectionConfig:
     """What one pick aims at: the target mass and the weight alpha of sigma
     in the feasibility rule. The candidate lattice is the same for every
     pick: every ``stride_px`` px at least ``margin_px`` from each tray edge,
     crossed with the ``z_candidates_cm`` depths. Each depth is a whole
-    multiple of 0.005 cm, as the capture channel of ``_score_grid`` needs."""
+    multiple of 0.005 cm, as the exact features of ``_lattice_features``
+    need."""
     target_mass_g: float
     alpha: float = 1.0
     stride_px: ClassVar[int] = 15
@@ -118,59 +114,56 @@ def _capture_sums(units, cx, cy, shape, tips):
     return sums
 
 
-def _score_grid(model, heap, xy_points, z_list, clearance_mm):
-    """Vectorised scoring of an xy lattice x z list. Returns (mu, sigma)
-    arrays of shape (n_xy, n_z) matching score_candidate pointwise.
+def _lattice_features(config, heap, xy_points, z_list):
+    """Window medians (mm), shape (n_xy,), and model features, shape
+    (n_xy, n_z, n_features), of an xy lattice x z list: bit for bit
+    ``mdn.features_from_rows`` of each ``observe_patch`` at each depth.
 
-    No window is materialised. The heights are converted once to integer
-    0.1 mm units, the unit ``local_median_height`` uses, and
-    ``batch_unit_medians`` reads every window's exact median off strip
-    histograms of that grid, slid from one row of windows to the next.
-    Pooled block means come from a summed-area table (median subtraction
-    commutes with mean pooling). The capture channel is exact integer
-    arithmetic in 0.05 mm: with 2M the doubled median and t = 2M - 200 z the
-    tip plane, a footprint of n cells captures
-    (2 sum(u) - n t + sum(max(t - 2u, 0))) / 20 mm, and ``_capture_sums``
-    gathers each footprint once for every depth. The depths must be whole
-    multiples of 0.005 cm, as ``SelectionConfig.z_candidates_cm`` are.
+    No window is materialised. ``batch_unit_medians`` reads each window's
+    exact median M off the grid in 0.1 mm units u. In the 0.05 mm units of
+    the features, a pooling block of area A and unit sum S (read off 0/1
+    span matrices over the distinct window edges) sums to 2S - 2AM, and a
+    footprint captures the sum of max(2u - t, 0) for the tip plane
+    t = 2M - 200 z, which ``_capture_sums`` gathers once for every depth.
+    The depths must be whole multiples of 0.005 cm.
     """
     n_xy = len(xy_points)
-    n_z = len(z_list)
     m = PATCH_MARGIN
     side = 2 * m
     ix = np.fromiter((x - m for x, _ in xy_points), dtype=int, count=n_xy)
     iy = np.fromiter((y - m for _, y in xy_points), dtype=int, count=n_xy)
-
     units_grid = height_units(heap.heights)
     median_units = batch_unit_medians(units_grid, ix, iy, (side, side))
-    medians = median_units / 10.0
 
-    sat = mdn._summed_area(heap.heights)
-    s_out = model.config.pooled_side
-    bounds = np.append(mdn._pool_bounds(side, s_out), side)
-    corners = sat[np.add.outer(ix, bounds)[:, :, None],
-                  np.add.outer(iy, bounds)[:, None, :]]
-    block_sums = np.diff(np.diff(corners, axis=1), axis=2)
-    widths = np.diff(bounds).astype(float)
-    pooled = (block_sums / (widths[:, None] * widths[None, :])).reshape(n_xy, -1)
-    pooled = (pooled - medians[:, None]) * mdn.HEIGHT_SCALE
+    s_out = config.pooled_side
+    lo, hi, areas = mdn._pool_spans(side, s_out)
+    xs, x_of = np.unique(ix, return_inverse=True)
+    ys, y_of = np.unique(iy, return_inverse=True)
+    rows = mdn._span_matrix(np.add.outer(xs, lo), np.add.outer(xs, hi), units_grid.shape[0])
+    cols = mdn._span_matrix(np.add.outer(ys, lo), np.add.outer(ys, hi), units_grid.shape[1])
+    sums = (rows @ units_grid.astype(float) @ cols.T).reshape(len(xs), s_out, len(ys), s_out)
+    block_sums = 2 * sums[x_of, :, y_of, :].reshape(n_xy, -1) - areas * 2 * median_units[:, None]
 
     z_arr = np.asarray(z_list, dtype=float)
-    cw, cl = mdn.CAPTURE_WINDOW_MM
-    depth_units = np.rint(z_arr * DEPTH_UNITS_PER_CM).astype(np.int64)
-    tips = (2 * median_units).astype(np.int64)[:, None] - depth_units
-    sums = _capture_sums(units_grid, ix + (m - cw // 2), iy + (m - cl // 2), (cw, cl), tips)
-    cap = sums / 20.0 * 1e-3
-    feats = np.hstack([np.repeat(pooled, n_z, axis=0),
-                       (cap.reshape(-1) * mdn.CAPTURE_SCALE)[:, None],
-                       np.tile(z_arr, n_xy)[:, None]])
-    pi, mu_k, sigma_k = mdn._forward_batch(model, feats)
-    mu, sigma = _reduce_mixture(pi, mu_k, sigma_k)
-    mu = mu.reshape(n_xy, n_z)
-    sigma = sigma.reshape(n_xy, n_z)
+    tips = ((2 * median_units).astype(np.int64)[:, None]
+            - np.rint(z_arr * mdn.DEPTH_UNITS_PER_CM).astype(np.int64))
+    (r0, _), (c0, _) = mdn._capture_spans(side)
+    caps = _capture_sums(units_grid, ix + r0, iy + c0, mdn.CAPTURE_WINDOW_MM, tips)
+    feats = mdn._features(block_sums[:, None, :], areas, caps, z_arr)
+    return median_units / 10.0, feats
 
-    clear = clears_floor(medians[:, None], z_arr[None, :], clearance_mm)
-    return np.where(clear, mu, 0.0), np.where(clear, sigma, math.inf)
+
+def _score_grid(model, heap, xy_points, z_list, clearance_mm):
+    """Vectorised scoring of an xy lattice x z list: one forward pass over
+    ``_lattice_features``. Returns (mu, sigma) arrays of shape (n_xy, n_z)
+    matching score_candidate pointwise, up to the batched forward's float
+    order."""
+    medians, feats = _lattice_features(model.config, heap, xy_points, z_list)
+    pi, mu_k, sigma_k = mdn._forward_batch(model, feats.reshape(-1, feats.shape[-1]))
+    mu, sigma = _reduce_mixture(pi, mu_k, sigma_k)
+    clear = clears_floor(medians[:, None], np.asarray(z_list, dtype=float), clearance_mm)
+    return (np.where(clear, mu.reshape(clear.shape), 0.0),
+            np.where(clear, sigma.reshape(clear.shape), math.inf))
 
 
 def _pick(target, alpha, mu, sigma):

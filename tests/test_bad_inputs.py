@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -552,13 +553,29 @@ def test_cli_bad_log_level_exit_2(level):
 
 
 def test_cli_experiment_too_shallow_fill_one_line(workdir):
-    """A tray filled too low for every pool depth is a runtime failure:
-    exit 1 and one line, no traceback."""
+    """A tray filled too low for every pool depth is a bad simulator config:
+    exit 2 and one line naming the config, its fill and its clearance, no
+    traceback, on one worker and across a process pool alike."""
     config = write_json(workdir / "shallow.json", {"fill_mm": 12})
     out = workdir / "never_shallow.json"
-    code, err = run_cli("experiment", "TABLE2", "--episodes", 30, "--config", config,
-                        "--out", out)
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert "no pool depth clears the tray floor" in err[0]
-    assert not out.exists()
+    for workers in (1, 2):
+        code, err = run_cli("experiment", "TABLE2", "--episodes", 30, "--config", config,
+                            "--workers", workers, "--out", out)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"simulator config {config}: no pool depth clears the tray floor" in err[0]
+        assert "(fill_mm 12, clearance_mm 5)" in err[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [BrokenProcessPool("a worker died"), OSError("disk full")])
+def test_cli_experiment_runtime_failure_stays_exit_1(workdir, monkeypatch, exc):
+    """Only a tray no pool depth can clear is the config's fault; a broken
+    worker pool or an I/O error is still a runtime failure."""
+    def failing(*args, **kw):
+        raise exc
+
+    monkeypatch.setattr(cli.experiments, "run_experiment", failing)
+    code, err = run_cli("experiment", "TABLE2", "--episodes", 30, "--workers", 2,
+                        "--out", workdir / "never_broken.json")
+    assert code == 1 and len(err) == 1 and str(exc) in err[0]

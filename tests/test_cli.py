@@ -174,6 +174,27 @@ def test_experiment_table3_report(tmp_path):
     assert len(report["cells"]) == 8
 
 
+def test_experiment_prints_paired_rows_and_smallest(tmp_path, capsys):
+    out = tmp_path / "t3.json"
+    capsys.readouterr()
+    assert run_cli("experiment", "TABLE3", "--episodes", 30, "--seed", 6,
+                   "--out", out) == 0
+    lines = capsys.readouterr().out.splitlines()
+    paired = json.loads(out.read_text())["paired"]
+    assert len(paired) == 4
+    printed = [line.strip() for line in lines[-1 - len(paired):-1]]
+    for line, row in zip(printed, paired):
+        head, diff = line.split(":  ")
+        assert head == (f"{row['difference']}  target {row['target_g']:.1f} g"
+                        f"  band +-{row['band_g']:.0f} g")
+        mean, std = diff.removesuffix(" pp").split(" +- ")
+        assert abs(float(mean) - row["mean_pp"]) <= 0.005
+        assert abs(float(std) - row["std_pp"]) <= 0.005
+    smallest = min(range(len(paired)), key=lambda i: paired[i]["mean_pp"])
+    assert lines[-1] == "smallest difference: " + printed[smallest]
+    assert all(paired[smallest]["mean_pp"] <= row["mean_pp"] for row in paired)
+
+
 def test_experiment_rerun_byte_identical(tmp_path):
     a = tmp_path / "r1.json"
     b = tmp_path / "r2.json"

@@ -142,7 +142,8 @@ def test_batch_features_equal_per_observation(cfg, side, size):
     batch = [(PatchObservation(rng.normal(0, 5, (side, side)), float(rng.uniform(1, 4))),
               float(rng.uniform(0, 40))) for _ in range(size)]
     feats, masses = mdn._batch_features_masses(mdn.init_params(cfg), batch)
-    single = np.vstack([mdn._obs_features(obs, cfg) for obs, _ in batch])
+    single = np.vstack([mdn.features_from_rows([obs.heights], [obs.insertion_depth], cfg)
+                        for obs, _ in batch])
     assert np.array_equal(feats, single)
     assert np.array_equal(masses, [m for _, m in batch])
 

@@ -56,7 +56,7 @@ def test_depths_must_be_whole_multiples_of_005_cm():
         15, sim.PATCH_MARGIN, sim.Z_INFER_DEEP)
     assert [f.name for f in dataclasses.fields(cfg)] == ["target_mass_g", "alpha"]
     for z in cfg.z_candidates_cm:
-        assert (z * select.DEPTH_UNITS_PER_CM).is_integer(), z
+        assert (z * mdn.DEPTH_UNITS_PER_CM).is_integer(), z
 
 
 # ---------------------------------------------------------------- score_candidate
@@ -325,11 +325,23 @@ def test_selection_matches_partition_oracle_on_mutated_heap(mutated_heap, traine
     assert got_report == select.selection_report(trained_model, mutated_heap, scfg)
 
 
+def patch_features(config, heap, xy, zs):
+    """``features_from_rows`` of each observed patch at each depth, shaped
+    like ``_lattice_features``."""
+    return np.stack([
+        mdn.features_from_rows(np.repeat(sim.observe_patch(heap, int(x), int(y)).heights[None],
+                                         len(zs), axis=0), np.array(zs), config)
+        for x, y in xy])
+
+
 def test_grid_scoring_matches_per_candidate_on_mutated_heap(mutated_heap, trained_model):
     """On a heap that was grasped and released, the lattice and the
-    per-candidate path build the same features up to summation order."""
+    per-candidate path build the same features bit for bit; (mu, sigma)
+    differ only by the batched forward's float order."""
     xy = [(80, 80), (140, 125), (212, 154), (290, 200), (344, 228)]
     zs = sim.Z_INFER_DEEP
+    _, feats = select._lattice_features(trained_model.config, mutated_heap, xy, zs)
+    assert np.array_equal(feats, patch_features(trained_model.config, mutated_heap, xy, zs))
     mu, sigma = select._score_grid(trained_model, mutated_heap, xy, zs, 5.0)
     for i, (x, y) in enumerate(xy):
         for j, z in enumerate(zs):
@@ -405,14 +417,18 @@ def test_capture_sums_exact_at_the_lowest_cell():
 
 
 def test_capture_matches_patch_capture_volumes_on_fresh_heap():
+    """At every lattice point and depth of a fresh heap, the lattice's
+    features, its capture channel included, equal ``features_from_rows`` of
+    the observed patch bit for bit."""
     heap = sim.init_heap(sim.SimConfig(), seed=9)
+    xy = select._lattice_points(heap.tray_mm)
     zs = sim.Z_INFER_DEEP
-    xy, units, cx, cy, tips = lattice_footprints(heap, zs)
-    cap = select._capture_sums(units, cx, cy, CAPTURE_SHAPE, tips) / 20.0 * 1e-3
-    for i, (x, y) in enumerate(xy):
-        patch = sim.observe_patch(heap, int(x), int(y)).heights
-        want = mdn.capture_volumes(np.repeat(patch[None], len(zs), axis=0), np.array(zs))
-        np.testing.assert_allclose(cap[i], want, rtol=0, atol=1e-12)
+    for downsample in (80, 20):
+        cfg = mdn.ModelConfig(feature_downsample=downsample)
+        medians, feats = select._lattice_features(cfg, heap, xy, zs)
+        assert feats.shape == (len(xy), len(zs), cfg.n_features)
+        assert np.array_equal(feats, patch_features(cfg, heap, xy, zs))
+    assert np.array_equal(medians, [sim.local_median_height(heap, x, y) for x, y in xy])
 
 
 # ---------------------------------------------------------------- the floor rule

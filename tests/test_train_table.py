@@ -1,6 +1,7 @@
 """Feature-space training against its oracle: the variant table must equal
-the features of every ``augment`` crop, and ``train`` must follow the
-per-step crop-and-featurise loop kept here as the reference."""
+the features of every ``augment`` crop bit for bit, and ``train`` must follow
+the per-step crop-and-featurise loop kept here as the reference, bit for
+bit, since every feature is an exact integer sum divided by one rule."""
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_variant_table_matches_augment_crops(collected_dataset, name):
             obs = PatchObservation(np.asarray(row.patch, dtype=float), row.z_cm)
             crop = mdn.augment(obs, FixedDraw(flip_v, flip_h, off)).heights
             ref = mdn.features_from_rows(crop[None], np.array([row.z_cm]), cfg)[0]
-            assert np.abs(table[i, variant] - ref).max() <= 1e-12, (flip_v, flip_h, off)
+            assert np.array_equal(table[i, variant], ref), (flip_v, flip_h, off)
     assert seen == set(range(mdn.N_VARIANTS))
 
 
@@ -102,16 +103,24 @@ def test_train_matches_reference_loop(collected_dataset, name):
     cfg = ModelConfig(seed=7, epochs=3, **CONFIGS[name])
     params = mdn.train(collected_dataset, cfg)
     ref_theta, ref_eval = reference_train(collected_dataset, cfg)
-    assert np.abs(params.theta - ref_theta).max() <= 1e-9
-    got_eval = [e["eval_nll"] for e in params.training_log["epochs"]]
-    assert np.allclose(got_eval, ref_eval, rtol=0, atol=1e-9)
+    assert np.array_equal(params.theta, ref_theta)
+    assert [e["eval_nll"] for e in params.training_log["epochs"]] == ref_eval
 
 
 def test_default_checkpoint_matches_reference(collected_dataset, trained_model):
+    """Every one of the 400 epochs, not only the best, equals the reference."""
     ref_theta, ref_eval = reference_train(collected_dataset, trained_model.config)
-    assert np.abs(trained_model.theta - ref_theta).max() <= 1e-9
-    assert trained_model.training_log["best_eval_nll"] == pytest.approx(min(ref_eval),
-                                                                        rel=0, abs=1e-9)
+    assert np.array_equal(trained_model.theta, ref_theta)
+    assert [e["eval_nll"] for e in trained_model.training_log["epochs"]] == ref_eval
+    assert trained_model.training_log["best_eval_nll"] == min(ref_eval)
+
+
+def test_collected_patches_lie_on_the_feature_grid(collected_dataset):
+    """Exact features rest on every patch being whole 0.05 mm units."""
+    for row in collected_dataset.rows:
+        scaled = 20.0 * np.asarray(row.patch)
+        assert np.abs(scaled - np.rint(scaled)).max() < 1e-9
+        assert (row.z_cm * mdn.DEPTH_UNITS_PER_CM).is_integer()
 
 
 def test_train_never_crops(collected_dataset, monkeypatch):
