@@ -35,7 +35,8 @@ def main():
     model = mdn.train(ds, mdn.ModelConfig(seed=7))
     errs, sigs = [], []
     for r in ds.eval_rows():
-        mu, s = mdn.mixture_moments(mdn.mdn_forward(model, PatchObservation(r.patch, r.z_cm)))
+        obs = PatchObservation(r.patch / mdn.UNITS_PER_MM, r.z_cm)
+        mu, s = mdn.mixture_moments(mdn.mdn_forward(model, obs))
         errs.append(r.mass_g - mu)
         sigs.append(s)
     print("train: %.1fs  eval resid std %.2f  sigma_hat %.2f"

@@ -11,11 +11,16 @@ the working tree) and compare the columns:
 The outputs:
   - ``model.theta``: the default test model (collection seed 101, model
     seed 7), which the selection outputs below use;
-  - ``features``: the model features of the eval rows of that collection,
-    the variant table of its first 8 train rows, and the features of the
-    observed patch at every lattice point and depth of the seed-5 heap,
-    each under the default ``ModelConfig``; patches go in as stacked
-    arrays, which every version of ``features_from_rows`` takes;
+  - ``dataset.units``: the int16 bytes of the 0.05 mm units of every patch
+    of that collection, rint(20 h) of a float64 patch of heights (mm) or
+    the patch itself when it is stored as int16 units, so two trees that
+    store patches differently give equal digests when neither loses a unit;
+  - ``features``: the model features of the eval rows of that collection
+    (``mdn._dataset_features``, which reads patches as the tree stores
+    them), the variant table of its first 8 train rows, and the features of
+    the observed patch at every lattice point and depth of the seed-5 heap,
+    each under the default ``ModelConfig``; lattice patches go in as
+    stacked arrays, which every version of ``features_from_rows`` takes;
   - ``collect``/``train``: the dataset bytes of ``collect --n 200 --seed
     12345`` and the checkpoint bytes of ``train --seed 3`` on it;
   - ``inspect``: four selection reports on the test model, the last on a
@@ -67,11 +72,18 @@ def run_cli(*argv) -> tuple:
     return code, stdout.getvalue()
 
 
+def as_units(patch) -> np.ndarray:
+    """The 0.05 mm units of a patch, whether stored as heights or units."""
+    if patch.dtype == np.int16:
+        return patch
+    return np.rint(20.0 * patch).astype(np.int16)
+
+
 def feature_outputs(dataset):
     cfg = mdn.ModelConfig()
-    rows = dataset.eval_rows()
-    feats = mdn.features_from_rows(np.stack([r.patch for r in rows]),
-                                   np.array([r.z_cm for r in rows]), cfg)
+    emit("dataset.units.seed101",
+         b"".join(as_units(r.patch).astype("<i2").tobytes() for r in dataset.rows))
+    feats, _ = mdn._dataset_features(dataset.eval_rows(), cfg)
     emit("features.eval.seed101", feats.tobytes())
     emit("features.variants.seed101.train8",
          mdn._variant_features(dataset.train_rows()[:8], cfg).tobytes())

@@ -13,6 +13,8 @@ crops exploit the gripper symmetry on the tiny datasets this is meant for.
 Features have one rule, ``_features``, which divides exact integer sums of
 heights in whole 0.05 mm units; ``features_from_rows``, ``_variant_features``
 and ``select._lattice_features`` reach the same sums, so the same bits.
+Dataset patches are stored in those units, as int16 (``patch_units``), in
+memory and in the dataset file, so training reads them without rounding.
 
 Training works in feature space. Every feature is a rectangle sum, and a
 flip maps a crop rectangle to a mirrored rectangle of the unflipped patch,
@@ -43,16 +45,46 @@ from .sim import (PATCH_SIDE, PatchObservation, check_config_keys, check_int,
 
 CROP_SIDE = 150
 LOG_2PI = math.log(2.0 * math.pi)
-PATCH_DTYPE = np.dtype("<f8")   # dataset patch bytes: little-endian float64
+# features read heights in whole 0.05 mm units, and a dataset patch holds
+# them as int16: PATCH_BYTES little-endian bytes in the dataset file
+UNITS_PER_MM = 20
+PATCH_DTYPE = np.dtype("<i2")
 PATCH_BYTES = PATCH_SIDE * PATCH_SIDE * PATCH_DTYPE.itemsize
+_FLOAT64_PATCH_BYTES = PATCH_SIDE * PATCH_SIDE * 8   # a patch written before int16 units
+_INT16 = np.iinfo(np.int16)
+
+
+def patch_units(heights) -> np.ndarray:
+    """Relative heights (mm) as a dataset patch: int16 units of 0.05 mm,
+    rint(20 h). Raises ValueError for a height int16 cannot hold (beyond
+    about +-1638 mm) or a non-finite one."""
+    units = np.rint(np.asarray(heights, dtype=float) * UNITS_PER_MM)
+    if not ((units >= _INT16.min) & (units <= _INT16.max)).all():
+        raise ValueError(f"patch heights must be finite and within "
+                         f"+-{_INT16.max / UNITS_PER_MM:g} mm to be stored as int16 units "
+                         f"of {1 / UNITS_PER_MM:g} mm")
+    return units.astype(np.int16)
+
+
+def _check_units(patch) -> None:
+    if not isinstance(patch, np.ndarray) or patch.dtype != np.int16:
+        raise ValueError(f"DataRow.patch must be int16 units of {1 / UNITS_PER_MM:g} mm "
+                         f"(see patch_units), got {getattr(patch, 'dtype', type(patch).__name__)}")
 
 
 @dataclass
 class DataRow:
-    patch: np.ndarray   # PATCH_SIDE x PATCH_SIDE relative heights, mm
+    """One grasp record. ``patch`` holds the PATCH_SIDE x PATCH_SIDE heights
+    less their median as int16 units of 0.05 mm (``patch_units``); a patch
+    of any other dtype raises ValueError. Divide by UNITS_PER_MM for mm."""
+
+    patch: np.ndarray
     z_cm: float
     mass_g: float
     split: str          # "train" | "eval"
+
+    def __post_init__(self):
+        _check_units(self.patch)
 
 
 @dataclass
@@ -75,12 +107,13 @@ class Dataset:
 
     def to_jsonl(self, path) -> None:
         """Write one JSON line per row; the patch is the base64 of its
-        float64 values, little-endian and row-major (see ``_decode_patch``).
+        int16 units, little-endian and row-major (see ``_decode_patch``).
         Base64 never needs escaping, so only the rest of the row goes
         through ``json.dumps``; each line still equals ``json.dumps`` of the
         whole row, byte for byte."""
         with open(path, "w", encoding="utf-8") as f:
             for r in self.rows:
+                _check_units(r.patch)
                 patch = np.asarray(r.patch, dtype=PATCH_DTYPE).tobytes()   # row-major
                 rest = json.dumps({"z_cm": r.z_cm, "mass_g": r.mass_g, "split": r.split},
                                   separators=(",", ":"))
@@ -112,30 +145,33 @@ class Dataset:
                     if row.split not in ("train", "eval"):
                         raise ValueError(f"unknown split {row.split!r}")
                 except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                    raise ValueError(f"{path}: corrupt dataset row at line {lineno}: {exc}") from exc
+                    raise ValueError(f"{path}: dataset row at line {lineno}: {exc}") from exc
                 rows.append(row)
         return cls(rows)
 
 
 def _decode_patch(text) -> np.ndarray:
     """The PATCH_SIDE x PATCH_SIDE patch of a dataset row: standard base64
-    (RFC 4648) of little-endian float64 values in row-major order. Returns
-    an owned, writable array; raises ValueError for anything else,
-    including non-finite heights."""
+    (RFC 4648) of little-endian int16 units in row-major order. Returns an
+    owned, writable int16 array; raises ValueError for anything else, and
+    names a float64 patch, which a dataset written before int16 units
+    holds."""
     if not isinstance(text, str):
-        raise ValueError(f"patch must be base64 float64 bytes, got a JSON "
+        raise ValueError(f"patch must be base64 int16 bytes, got a JSON "
                          f"{type(text).__name__}")
     try:
         raw = base64.b64decode(text, validate=True)
     except binascii.Error as exc:
-        raise ValueError(f"patch must be base64 float64 bytes: {exc}") from exc
+        raise ValueError(f"patch must be base64 int16 bytes: {exc}") from exc
+    if len(raw) == _FLOAT64_PATCH_BYTES:
+        raise ValueError(f"patch has {len(raw)} bytes, the {PATCH_SIDE}x{PATCH_SIDE} float64 "
+                         f"patch of a dataset written before patches were int16 units of "
+                         f"{1 / UNITS_PER_MM:g} mm; rebuild the dataset with `entpick collect` "
+                         f"or by replaying the collection's manifest")
     if len(raw) != PATCH_BYTES:
         raise ValueError(f"patch has {len(raw)} bytes, expected {PATCH_BYTES} "
-                         f"({PATCH_SIDE}x{PATCH_SIDE} float64)")
-    patch = np.frombuffer(raw, dtype=PATCH_DTYPE).reshape(PATCH_SIDE, PATCH_SIDE).astype(float)
-    if not np.isfinite(patch).all():
-        raise ValueError("non-finite patch value")
-    return patch
+                         f"({PATCH_SIDE}x{PATCH_SIDE} int16)")
+    return np.frombuffer(raw, dtype=PATCH_DTYPE).reshape(PATCH_SIDE, PATCH_SIDE).astype(np.int16)
 
 
 @dataclass
@@ -269,8 +305,7 @@ def init_params(config: ModelConfig) -> ModelParams:
 # features
 # ---------------------------------------------------------------------------
 
-# features read heights in whole 0.05 mm units, and a depth of z cm as 200 z
-UNITS_PER_MM = 20
+# features read a depth of z cm as 200 z units
 DEPTH_UNITS_PER_CM = 200
 HEIGHT_SCALE = 0.1   # mm -> feature units
 CAPTURE_SCALE = 0.1  # cm^3-ish capture volume -> feature units
@@ -320,14 +355,21 @@ def features_from_rows(patches, depths, config: ModelConfig) -> np.ndarray:
     their depths (cm). Heights are read as whole 0.05 mm units, rint(20 h),
     held in float64; off-grid input, such as Gaussian noise, is read at the
     nearest 0.05 mm. Depths are not rounded. The patches are copied once,
-    and the copy is scaled and rounded in place."""
+    and the copy is scaled and rounded in place. Dataset patches, already
+    in units, go to ``_unit_features`` directly."""
     units = np.array(patches, dtype=float)
+    units *= UNITS_PER_MM
+    np.rint(units, out=units)
+    return _unit_features(units, depths, config)
+
+
+def _unit_features(units, depths, config: ModelConfig) -> np.ndarray:
+    """Features of a float64 stack of square patches of whole 0.05 mm units
+    at their depths (cm)."""
     side = units.shape[-1]
     if units.shape[1:] != (side, side) or side not in (PATCH_SIDE, CROP_SIDE):
         raise ValueError(f"patches must be square of side {PATCH_SIDE} or {CROP_SIDE}, "
                          f"got shape {units.shape[1:]}")
-    units *= UNITS_PER_MM
-    np.rint(units, out=units)
     depths = np.asarray(depths, dtype=float)
     lo, hi, areas = _pool_spans(side, config.pooled_side)
     pool = _span_matrix(lo, hi, side)
@@ -564,10 +606,11 @@ def _variant_spans(lo, hi):
 def _variant_features(rows, config: ModelConfig) -> np.ndarray:
     """Model features of every augmentation variant of every row, shape
     (len(rows), N_VARIANTS, n_features). Entry [i, _draw_variant(rng)]
-    equals ``features_from_rows`` of ``augment`` of row i on the same
-    stream, bit for bit: span matrices sum the row's units over every crop
-    block and capture window in every flip and offset. Built one row at a
-    time, so only one row's units exist at once."""
+    equals ``features_from_rows`` of ``augment`` of row i's heights, its
+    units over UNITS_PER_MM, on the same stream, bit for bit: span matrices
+    sum the row's units over every crop block and capture window in every
+    flip and offset. Built one row at a time, so only one row's units
+    exist in float64 at once."""
     side = config.pooled_side
     lo, hi, areas = _pool_spans(CROP_SIDE, side)
     blocks = _span_matrix(*_variant_spans(lo, hi), PATCH_SIDE)
@@ -577,7 +620,7 @@ def _variant_features(rows, config: ModelConfig) -> np.ndarray:
 
     table = np.empty((len(rows), N_VARIANTS, config.n_features))
     for i, row in enumerate(rows):
-        units = np.rint(np.asarray(row.patch, dtype=float) * UNITS_PER_MM)
+        units = row.patch.astype(float)
         # (flip_v, off_v, block_v, flip_h, off_h, block_h) to _draw_variant's order
         sums = (blocks @ units @ blocks.T).reshape(2, N_OFFSETS, side, 2, N_OFFSETS, side)
         sums = sums.transpose(0, 3, 1, 4, 2, 5).reshape(N_VARIANTS, side * side)
@@ -593,8 +636,10 @@ def _variant_features(rows, config: ModelConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dataset_features(rows, config):
+    """Features and masses of dataset rows, their patches stacked in one
+    float64 array."""
     depths = np.array([r.z_cm for r in rows])
-    return (features_from_rows([r.patch for r in rows], depths, config),
+    return (_unit_features(np.array([r.patch for r in rows], dtype=float), depths, config),
             np.array([r.mass_g for r in rows]))
 
 

@@ -240,7 +240,8 @@ def run_collection(sim_config: SimConfig, n: int, zpool=Z_POOL_DEEP,
         obs = observe_patch(heap, x, y)
         apply_pregrasp(heap, x, y, z, rng, sim_config)
         outcome = execute_grasp(heap, x, y, z, rng, sim_config)
-        rows.append(mdn.DataRow(obs.heights, z, outcome.grasped_mass, "train"))
+        patch = mdn.patch_units(obs.heights)
+        rows.append(mdn.DataRow(patch, z, outcome.grasped_mass, "train"))
 
     n_train = min(round(0.75 * n), n - 1)
     order = rng.permutation(n)

@@ -45,6 +45,9 @@ from scipy.special import ndtr
 PATCH_SIDE = 160           # observation window, px (1 px = 1 mm)
 PATCH_MARGIN = PATCH_SIDE // 2
 HEIGHT_QUANTUM_MM = 0.1
+# a dataset patch holds heights less their median as int16 units of 0.05 mm
+# (mdn.patch_units), and such a height lies within the tray depth of zero
+MAX_TRAY_DEPTH_MM = 32767 // 20
 CELL_MASS_PER_MM = 1e-3    # grams per mm of height in one 1 mm^2 column, per unit rho
 
 # insertion depths (cm) for cabbage-like material: the pool random grasps
@@ -223,6 +226,10 @@ class SimConfig:
             if side != int(side):
                 raise ValueError(f"SimConfig.tray_mm[{i}] must be a whole number of mm, "
                                  f"got {side!r}")
+        if self.tray_mm[2] > MAX_TRAY_DEPTH_MM:
+            raise ValueError(f"SimConfig.tray_mm[2] must be at most {MAX_TRAY_DEPTH_MM} mm, the "
+                             f"deepest tray whose patches fit int16 units of 0.05 mm, "
+                             f"got {self.tray_mm[2]!r}")
         check_number("SimConfig.fill_mm", self.fill_mm, 0, self.tray_mm[2])
         self.lambda_range = check_tuple("SimConfig.lambda_range", self.lambda_range, 2, 0, 1,
                                          ordered=True)

@@ -105,7 +105,7 @@ def test_c03_mse_equivalence():
     rows = []
     for i in range(40):
         z = float(rng.uniform(1.0, 4.0))
-        rows.append(mdn.DataRow(np.zeros((160, 160)), z, 2.0 + 3.0 * z,
+        rows.append(mdn.DataRow(np.zeros((160, 160), np.int16), z, 2.0 + 3.0 * z,
                                 "train" if i < 30 else "eval"))
     ds = mdn.Dataset(rows)
     cfg = ModelConfig(K=1, feature_downsample=40, hidden_sizes=(), fixed_sigma=1.0,

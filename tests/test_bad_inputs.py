@@ -44,8 +44,8 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dataset_path(workdir):
-    rows = [mdn.DataRow(np.zeros((160, 160)), 2.0, 5.0 + i, "train" if i < 3 else "eval")
-            for i in range(4)]
+    rows = [mdn.DataRow(np.zeros((160, 160), np.int16), 2.0, 5.0 + i,
+                        "train" if i < 3 else "eval") for i in range(4)]
     path = workdir / "data.jsonl"
     mdn.Dataset(rows).to_jsonl(path)
     return path
@@ -288,6 +288,8 @@ SMALL_TRAY = {"tray_mm": [160, 160, 160]}
     # "heights out of tray range", and a fractional width was truncated
     ({"tray_mm": [424, 308, 160.5], "fill_mm": 160.5}, "tray_mm[2]"),
     ({"tray_mm": [424.5, 308, 160]}, "tray_mm[0]"),
+    # a height less its patch median must fit int16 units of 0.05 mm
+    ({"tray_mm": [424, 308, 1639]}, "tray_mm[2]"),
 ])
 def test_sim_config_rejects_sizes_that_cannot_be_picked(workdir, doc, field):
     with pytest.raises(ValueError, match=f"SimConfig.{field}".replace("[", r"\[")):
@@ -297,6 +299,13 @@ def test_sim_config_rejects_sizes_that_cannot_be_picked(workdir, doc, field):
     code, err = run_cli("collect", "--n", 2, "--config", config, "--out", out)
     assert code == 2 and len(err) == 1 and f"SimConfig.{field}" in err[0]
     assert not out.exists()
+
+
+def test_sim_config_accepts_the_deepest_tray_a_patch_can_hold():
+    assert sim.MAX_TRAY_DEPTH_MM == np.iinfo(np.int16).max // mdn.UNITS_PER_MM == 1638
+    assert sim.SimConfig.from_dict({"tray_mm": [424, 308, 1638]}).tray_mm[2] == 1638
+    # relative heights lie within the tray depth of zero, so its patch units fit int16
+    assert mdn.patch_units(np.array([1638.0, -1638.0])).tolist() == [32760, -32760]
 
 
 def test_sim_config_accepts_the_widest_crater():
@@ -428,13 +437,14 @@ def b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-PATCH_BYTES = 160 * 160 * 8
+PATCH_BYTES = 160 * 160 * 2
+FLOAT64_PATCH_BYTES = 160 * 160 * 8
 
 
 @given(st.integers(0, 2 * PATCH_BYTES).filter(lambda n: n != PATCH_BYTES), st.integers(0, 3))
 @FUZZ
 def test_dataset_rejects_wrong_patch_shape(workdir, dataset_path, n_bytes, line):
-    # a patch of any byte count but 160 x 160 float64 values
+    # a patch of any byte count but 160 x 160 int16 units
     path = workdir / "bad_patch.jsonl"
     path.write_text(with_row(dataset_path, line, patch=b64(bytes(n_bytes))))
     with pytest.raises(ValueError, match=f"line {line + 1}.*{n_bytes} bytes"):
@@ -443,22 +453,19 @@ def test_dataset_rejects_wrong_patch_shape(workdir, dataset_path, n_bytes, line)
     assert code == 2 and len(err) == 1 and f"line {line + 1}" in err[0]
 
 
-def nan_patch():
-    patch = np.zeros((160, 160))
-    patch[37, 101] = math.nan
-    return b64(patch.tobytes())
-
-
 @pytest.mark.parametrize("patch, needle", [
-    (np.zeros((160, 160)).tolist(), "patch must be base64 float64"),   # the list-of-floats form
-    ([[math.nan] * 160] * 160, "patch must be base64 float64"),
-    ("AAAA" * 68265 + "A", "patch must be base64 float64"),             # bad padding
-    ("@" * 273068, "patch must be base64 float64"),                     # not the alphabet
-    (b64(bytes(PATCH_BYTES)).replace("A", "A\n", 1), "patch must be base64 float64"),
-    (b64(bytes(PATCH_BYTES))[:-4] + "AA==", "204799 bytes"),            # a byte short
-    (None, "patch must be base64 float64"),
-    (nan_patch(), "non-finite patch"),
-    (b64(np.full((160, 160), -math.inf).tobytes()), "non-finite patch"),
+    (np.zeros((160, 160)).tolist(), "patch must be base64 int16"),     # the list-of-floats form
+    ([[math.nan] * 160] * 160, "patch must be base64 int16"),
+    ("AAAA" * 17066 + "A", "patch must be base64 int16"),               # bad padding
+    ("@" * 68268, "patch must be base64 int16"),                        # not the alphabet
+    (b64(bytes(PATCH_BYTES)).replace("A", "A\n", 1), "patch must be base64 int16"),
+    (b64(bytes(PATCH_BYTES))[:-4] + "AA==", "51199 bytes"),             # a byte short
+    (None, "patch must be base64 int16"),
+    # a row written while patches were float64: named, with how to rebuild the dataset
+    (b64(bytes(FLOAT64_PATCH_BYTES)),
+     "204800 bytes, the 160x160 float64 patch of a dataset written before patches were int16 "
+     "units of 0.05 mm; rebuild the dataset with `entpick collect` or by replaying the "
+     "collection's manifest"),
 ])
 def test_dataset_rejects_bad_patch(workdir, dataset_path, patch, needle):
     path = workdir / "bad_patch.jsonl"

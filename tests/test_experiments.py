@@ -13,7 +13,7 @@ from entpick.sim import (ScaleState, Z_POOL_DEEP, apply_pregrasp, execute_grasp,
 
 
 def dataset_of(masses, split="train"):
-    rows = [mdn.DataRow(np.zeros((2, 2)), 2.0, m, split) for m in masses]
+    rows = [mdn.DataRow(np.zeros((2, 2), np.int16), 2.0, m, split) for m in masses]
     return mdn.Dataset(rows)
 
 

@@ -16,7 +16,7 @@ def linear_dataset(n, slope=4.5, noise=0.3, seed=1):
     for i in range(n):
         z = float(rng.uniform(1.0, 4.0))
         m = max(slope * z + float(rng.normal(0, noise)), 0.0)
-        rows.append(DataRow(np.zeros((160, 160)), z, m,
+        rows.append(DataRow(np.zeros((160, 160), np.int16), z, m,
                             "train" if i < int(0.75 * n) else "eval"))
     return Dataset(rows)
 
@@ -26,7 +26,7 @@ def bimodal_dataset(n, modes=(10.0, 20.0), seed=2):
     rows = []
     for i in range(n):
         m = modes[i % 2] + float(rng.normal(0, 0.3))
-        rows.append(DataRow(np.zeros((160, 160)), 2.0, m,
+        rows.append(DataRow(np.zeros((160, 160), np.int16), 2.0, m,
                             "train" if i < int(0.75 * n) else "eval"))
     return Dataset(rows)
 
@@ -71,7 +71,7 @@ def test_train_eval_nll_never_worse_than_initial():
 
 
 def test_train_rejects_missing_split():
-    rows = [DataRow(np.zeros((160, 160)), 2.0, 10.0, "train") for _ in range(5)]
+    rows = [DataRow(np.zeros((160, 160), np.int16), 2.0, 10.0, "train") for _ in range(5)]
     with pytest.raises(ValueError):
         mdn.train(Dataset(rows), ModelConfig(K=1, feature_downsample=40, hidden_sizes=(8,)))
 
@@ -84,7 +84,7 @@ def test_mse_equivalence_with_fixed_unit_sigma():
     rows = []
     for i in range(40):
         z = float(rng.uniform(1.0, 4.0))
-        rows.append(DataRow(np.zeros((160, 160)), z, 2.0 + 3.0 * z,
+        rows.append(DataRow(np.zeros((160, 160), np.int16), z, 2.0 + 3.0 * z,
                             "train" if i < 30 else "eval"))
     ds = Dataset(rows)
     cfg = ModelConfig(K=1, feature_downsample=40, hidden_sizes=(), fixed_sigma=1.0,
@@ -134,44 +134,57 @@ def test_dataset_jsonl_round_trip(tmp_path):
         assert a.z_cm == b.z_cm and a.mass_g == b.mass_g and a.split == b.split
 
 
-SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
-                  np.finfo(float).max, -np.finfo(float).max, 0.1, -3.25]
-
-
 @given(st.lists(st.tuples(st.integers(0, 160 * 160 - 1),
-                          st.sampled_from(SPECIAL_FLOATS)
-                          | st.floats(allow_nan=False, allow_infinity=False)),
+                          st.sampled_from([-32768, -32767, -1, 0, 1, 32767])
+                          | st.integers(-32768, 32767)),
                 max_size=60),
        st.integers(0, 2 ** 32 - 1), st.floats(0.1, 10), st.floats(0, 100))
 @settings(max_examples=25, deadline=None)
 def test_dataset_jsonl_round_trips_patch_bits(tmp_path_factory, cells, seed, z_cm, mass_g):
-    # the patch is stored as its float64 bytes, so every value, -0.0 and
-    # subnormals included, comes back bit for bit
-    patch = np.random.default_rng(seed).normal(0, 50, 160 * 160)
+    # the patch is stored as its int16 bytes, so every unit, both ends of
+    # the int16 range included, comes back exactly
+    patch = np.random.default_rng(seed).integers(-32768, 32768, 160 * 160).astype(np.int16)
     for i, v in cells:
         patch[i] = v
     patch = patch.reshape(160, 160)
-    path = tmp_path_factory.mktemp("bits") / "data.jsonl"
+    path = tmp_path_factory.mktemp("units") / "data.jsonl"
     Dataset([DataRow(patch, z_cm, mass_g, "eval"), DataRow(patch[::-1].T, 1.0, 0.0, "train")]
             ).to_jsonl(path)
     back = Dataset.from_jsonl(path)
     assert back.rows[0].patch.tobytes() == patch.tobytes()
     assert back.rows[1].patch.tobytes() == np.ascontiguousarray(patch[::-1].T).tobytes()
     assert (back.rows[0].z_cm, back.rows[0].mass_g) == (z_cm, mass_g)
-    assert back.rows[0].patch.dtype == np.float64 and back.rows[0].patch.flags.writeable
+    assert back.rows[0].patch.dtype == np.int16 and back.rows[0].patch.flags.writeable
+
+
+@pytest.mark.parametrize("patch", [np.zeros((160, 160)), np.zeros((160, 160), np.int32),
+                                   np.zeros((160, 160)).tolist()],
+                         ids=["float64", "int32", "list"])
+def test_data_row_rejects_a_patch_not_in_int16_units(patch):
+    with pytest.raises(ValueError, match="int16 units"):
+        DataRow(patch, 2.0, 5.0, "train")
+
+
+def test_patch_units_reads_heights_at_the_nearest_unit():
+    heights = np.array([[0.0, 0.05, -0.1, 0.024], [0.026, 1638.35, -1638.4, 12.3]])
+    assert mdn.patch_units(heights).tolist() == [[0, 1, -2, 0], [1, 32767, -32768, 246]]
+    assert mdn.patch_units(heights).dtype == np.int16
+    for bad in (1638.4, -1638.45, np.nan, np.inf):
+        with pytest.raises(ValueError, match="int16 units"):
+            mdn.patch_units(np.full((2, 2), bad))
 
 
 def json_dumps_lines(dataset):
     """The dataset file as ``json.dumps`` writes each whole row."""
     return "".join(
-        json.dumps({"patch": base64.b64encode(np.asarray(r.patch, dtype="<f8").tobytes())
+        json.dumps({"patch": base64.b64encode(np.asarray(r.patch, dtype="<i2").tobytes())
                     .decode("ascii"), "z_cm": r.z_cm, "mass_g": r.mass_g, "split": r.split},
                    separators=(",", ":")) + "\n"
         for r in dataset.rows).encode("utf-8")
 
 
 def test_dataset_jsonl_bytes_equal_json_dumps(collected_dataset, tmp_path):
-    patch = np.random.default_rng(3).normal(0, 50, (160, 160))
+    patch = mdn.patch_units(np.random.default_rng(3).normal(0, 50, (160, 160)))
     hand_built = Dataset([DataRow(patch, 2, 5.0, "train"), DataRow(patch, 0.1, 0.0, "eval"),
                           DataRow(patch.T, 1e-300, 12.25, "eval")])
     for name, ds in (("collected", collected_dataset), ("hand_built", hand_built)):
@@ -192,7 +205,7 @@ def test_train_on_reloaded_dataset_writes_same_checkpoint(collected_dataset, tra
 
 def test_dataset_corrupt_row_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    Dataset([DataRow(np.zeros((160, 160)), 2.0, 5.0, "train")]).to_jsonl(path)
+    Dataset([DataRow(np.zeros((160, 160), np.int16), 2.0, 5.0, "train")]).to_jsonl(path)
     good = json.loads(path.read_text())
     bad = {"patch": good["patch"], "z_cm": 2.0}
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")

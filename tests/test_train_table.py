@@ -48,7 +48,7 @@ def reference_train(dataset, config):
     params = mdn.init_params(config)
     mdn._init_head_from_masses(params, [r.mass_g for r in train_rows])
     eval_feats, eval_masses = mdn._dataset_features(eval_rows, config)
-    patches = [np.asarray(r.patch, dtype=float) for r in train_rows]
+    patches = [r.patch / mdn.UNITS_PER_MM for r in train_rows]   # heights, mm
     depths = np.array([r.z_cm for r in train_rows])
     masses = np.array([r.mass_g for r in train_rows])
     m = np.zeros_like(params.theta)
@@ -91,7 +91,7 @@ def test_variant_table_matches_augment_crops(collected_dataset, name):
         variant = mdn._draw_variant(FixedDraw(flip_v, flip_h, off))
         seen.add(variant)
         for i, row in enumerate(rows):
-            obs = PatchObservation(np.asarray(row.patch, dtype=float), row.z_cm)
+            obs = PatchObservation(row.patch / mdn.UNITS_PER_MM, row.z_cm)
             crop = mdn.augment(obs, FixedDraw(flip_v, flip_h, off)).heights
             ref = mdn.features_from_rows(crop[None], np.array([row.z_cm]), cfg)[0]
             assert np.array_equal(table[i, variant], ref), (flip_v, flip_h, off)
@@ -116,28 +116,38 @@ def test_default_checkpoint_matches_reference(collected_dataset, trained_model):
 
 
 def test_collected_patches_lie_on_the_feature_grid(collected_dataset):
-    """Exact features rest on every patch being whole 0.05 mm units."""
+    """Every patch is stored as int16 units of 0.05 mm, and reading it back
+    as heights, units / 20 mm, gives the features of the units bit for bit."""
+    cfg = ModelConfig()
     for row in collected_dataset.rows:
-        scaled = 20.0 * np.asarray(row.patch)
-        assert np.abs(scaled - np.rint(scaled)).max() < 1e-9
+        assert row.patch.dtype == np.int16 and row.patch.nbytes == 51_200
         assert (row.z_cm * mdn.DEPTH_UNITS_PER_CM).is_integer()
+    rows = collected_dataset.rows
+    feats, _ = mdn._dataset_features(rows, cfg)
+    heights = np.stack([r.patch for r in rows]) / mdn.UNITS_PER_MM
+    assert np.array_equal(feats, mdn.features_from_rows(heights, [r.z_cm for r in rows], cfg))
 
 
 def test_train_never_crops(collected_dataset, monkeypatch):
-    calls = {"features_from_rows": 0}
-    real = mdn.features_from_rows
+    calls = {"features_from_rows": 0, "_unit_features": 0}
 
-    def counting(*args, **kw):
-        calls["features_from_rows"] += 1
-        return real(*args, **kw)
+    def counting(name):
+        real = getattr(mdn, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        return wrapper
 
     def no_augment(*args, **kw):
         raise AssertionError("augment called during training")
 
-    monkeypatch.setattr(mdn, "features_from_rows", counting)
+    for name in calls:
+        monkeypatch.setattr(mdn, name, counting(name))
     monkeypatch.setattr(mdn, "augment", no_augment)
     mdn.train(collected_dataset, ModelConfig(seed=7, epochs=2))
-    assert calls["features_from_rows"] == 1   # the eval split
+    # the eval split, in units, in one stacked call
+    assert calls == {"features_from_rows": 0, "_unit_features": 1}
 
 
 # ---------------------------------------------------------------- bulk draws
