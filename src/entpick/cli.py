@@ -53,7 +53,7 @@ def write_manifest(out_path: str, command: str, args: argparse.Namespace,
 
 def _reproducible_argv(command: str, args: argparse.Namespace) -> list:
     argv = [command]
-    for key in ("model", "dataset", "preset"):
+    for key in ("preset", "model", "dataset"):   # experiment takes its preset first
         v = getattr(args, key, None)
         if v is not None:
             argv.append(str(v))
@@ -203,6 +203,10 @@ def cmd_run(args) -> int:
 def cmd_experiment(args) -> int:
     name = args.preset.upper()
     if name == "HISTOGRAM":
+        if args.episodes is not None:
+            raise UsageError("--episodes is not read by HISTOGRAM; it takes --n")
+        if args.model:
+            raise UsageError(f"HISTOGRAM reads no model checkpoint, got {args.model}")
         n = 200 if args.n is None else args.n
         if n < 2:
             raise UsageError("--n must be at least 2")
@@ -219,6 +223,8 @@ def cmd_experiment(args) -> int:
     if name not in experiments.PRESET_NAMES:
         raise UsageError(f"unknown preset {args.preset!r}; available: "
                          f"{', '.join(experiments.PRESET_NAMES + ('HISTOGRAM',))}")
+    if args.n is not None:
+        raise UsageError(f"--n is read only by HISTOGRAM; {name} takes --episodes")
     with _bad_input("--episodes"):
         preset_obj = experiments.preset(
             name, episodes=200 if args.episodes is None else args.episodes, seed=args.seed)

@@ -20,11 +20,11 @@ Training works in feature space. Every feature is a rectangle sum, and a
 flip maps a crop rectangle to a mirrored rectangle of the unflipped patch,
 so before the first epoch ``train`` reads the features of all
 ``N_VARIANTS`` augmentations of each train row (2 x 2 flips x 11 x 11 crop
-offsets) off 0/1 span-matrix products with that row. Each epoch then draws all
-its augmentations in one read of the generator (``_draw_variants``), the
-same stream, bit for bit, that one ``augment`` call per row would consume,
-and each step gathers its batch from that table; ``augment`` and
-``_draw_variant`` stay as the references both are tested against.
+offsets) off 0/1 span-matrix products with that row. An augmentation is one
+draw of its variant index, so each epoch draws all of them in one
+``integers`` call, the indices one ``augment`` call per row would draw, and
+each step gathers its batch from that table; ``augment`` stays as the
+reference it is tested against.
 
 Parameters live in one flat vector so checkpoints are a single array and
 finite-difference checks stay trivial.
@@ -524,71 +524,21 @@ N_OFFSETS = PATCH_SIDE - CROP_SIDE + 1   # crop offsets per axis
 N_VARIANTS = 4 * N_OFFSETS ** 2          # 2 x 2 flips x offsets
 
 
-def _draw_augmentation(rng: np.random.Generator):
-    """One augmentation draw: vertical flip, horizontal flip, crop offsets."""
-    flip_v = rng.random() < 0.5
-    flip_h = rng.random() < 0.5
-    off = rng.integers(0, N_OFFSETS, size=2)
-    return flip_v, flip_h, off
-
-
-def _draw_variant(rng: np.random.Generator) -> int:
-    """Index into the variant axis of ``_variant_features`` of the crop that
-    ``augment`` would make from the same stream."""
-    flip_v, flip_h, off = _draw_augmentation(rng)
-    return ((2 * flip_v + flip_h) * N_OFFSETS + int(off[0])) * N_OFFSETS + int(off[1])
-
-
-_FLIP_WORD = 1 << 63                   # random() < 0.5 iff its word is below this
-_LOW_HALF = 0xFFFFFFFF
-_LEMIRE_REJECT = 2 ** 32 % N_OFFSETS   # redraw when (x * N_OFFSETS) % 2**32 is below this
-
-
-def _draw_variants(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The next ``n`` ``_draw_variant`` indices from one read of ``3 * n``
-    raw PCG64 words, equal to ``n`` one-at-a-time calls bit for bit and
-    leaving the same generator state.
-
-    A flip is ``random() < 0.5``: its word is below 2**63. An offset is
-    ``integers(0, N_OFFSETS)`` on one 32-bit half ``x`` of a word, taken as
-    ``(x * N_OFFSETS) >> 32`` (Lemire 2019). PCG64 hands out the low half of
-    a word and keeps the high half for the next 32-bit draw, which
-    ``random()`` neither reads nor clears, so a draw takes three words
-    whatever that buffer holds: a buffered half is the first offset of the
-    first draw, and the last word's high half is left in the buffer. A
-    half that Lemire's method would redraw (about one draw in 1e9) sends
-    the whole call back to one ``_draw_variant`` at a time."""
-    bg = rng.bit_generator
-    saved = bg.state
-    words = bg.random_raw(3 * n).reshape(n, 3)
-    halves = np.stack([words[:, 2] & _LOW_HALF, words[:, 2] >> 32], axis=1)
-    if saved["has_uint32"]:
-        halves = np.append(np.uint64(saved["uinteger"]), halves)[:2 * n].reshape(n, 2)
-    scaled = halves * N_OFFSETS
-    if ((scaled & _LOW_HALF) < _LEMIRE_REJECT).any():
-        bg.state = saved
-        return np.array([_draw_variant(rng) for _ in range(n)], dtype=np.intp)
-    if n:
-        state = bg.state   # the buffer, live or spent, holds the last high half
-        state["uinteger"] = int(words[-1, 2] >> 32)
-        bg.state = state
-    flips = (words[:, :2] < _FLIP_WORD).astype(np.intp)
-    off = (scaled >> 32).astype(np.intp)
-    return ((2 * flips[:, 0] + flips[:, 1]) * N_OFFSETS + off[:, 0]) * N_OFFSETS + off[:, 1]
-
-
 def augment(obs: PatchObservation, rng: np.random.Generator) -> PatchObservation:
-    """Gripper-symmetry augmentation: independent vertical/horizontal flips at
-    probability 0.5 each, then a random CROP_SIDE x CROP_SIDE crop."""
+    """Gripper-symmetry augmentation: one draw of a variant index, uniform
+    over N_VARIANTS, picks a vertical flip, a horizontal flip and a
+    CROP_SIDE x CROP_SIDE crop offset per axis, in the order of the variant
+    axis of ``_variant_features``."""
     patch = np.asarray(obs.heights)
     if patch.shape != (PATCH_SIDE, PATCH_SIDE):
         raise ValueError(f"augment expects {PATCH_SIDE}x{PATCH_SIDE} patches, got {patch.shape}")
-    flip_v, flip_h, off = _draw_augmentation(rng)
+    flip_v, flip_h, off_v, off_h = np.unravel_index(int(rng.integers(N_VARIANTS)),
+                                                    (2, 2, N_OFFSETS, N_OFFSETS))
     if flip_v:
         patch = patch[::-1, :]
     if flip_h:
         patch = patch[:, ::-1]
-    crop = patch[off[0]:off[0] + CROP_SIDE, off[1]:off[1] + CROP_SIDE].copy()
+    crop = patch[off_v:off_v + CROP_SIDE, off_h:off_h + CROP_SIDE].copy()
     return PatchObservation(crop, obs.insertion_depth)
 
 
@@ -605,12 +555,12 @@ def _variant_spans(lo, hi):
 
 def _variant_features(rows, config: ModelConfig) -> np.ndarray:
     """Model features of every augmentation variant of every row, shape
-    (len(rows), N_VARIANTS, n_features). Entry [i, _draw_variant(rng)]
-    equals ``features_from_rows`` of ``augment`` of row i's heights, its
-    units over UNITS_PER_MM, on the same stream, bit for bit: span matrices
-    sum the row's units over every crop block and capture window in every
-    flip and offset. Built one row at a time, so only one row's units
-    exist in float64 at once."""
+    (len(rows), N_VARIANTS, n_features). Entry [i, v] equals
+    ``features_from_rows`` of the crop ``augment`` makes of row i's heights,
+    its units over UNITS_PER_MM, when it draws variant v, bit for bit: span
+    matrices sum the row's units over every crop block and capture window
+    in every flip and offset. Built one row at a time, so only one row's
+    units exist in float64 at once."""
     side = config.pooled_side
     lo, hi, areas = _pool_spans(CROP_SIDE, side)
     blocks = _span_matrix(*_variant_spans(lo, hi), PATCH_SIDE)
@@ -621,7 +571,7 @@ def _variant_features(rows, config: ModelConfig) -> np.ndarray:
     table = np.empty((len(rows), N_VARIANTS, config.n_features))
     for i, row in enumerate(rows):
         units = row.patch.astype(float)
-        # (flip_v, off_v, block_v, flip_h, off_h, block_h) to _draw_variant's order
+        # (flip_v, off_v, block_v, flip_h, off_h, block_h) to augment's variant order
         sums = (blocks @ units @ blocks.T).reshape(2, N_OFFSETS, side, 2, N_OFFSETS, side)
         sums = sums.transpose(0, 3, 1, 4, 2, 5).reshape(N_VARIANTS, side * side)
         rectified = np.maximum(units + row.z_cm * DEPTH_UNITS_PER_CM, 0.0)
@@ -663,13 +613,13 @@ def _init_head_from_masses(params: ModelParams, masses) -> None:
 def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
     """Stochastic NLL training on the train split with augmentation.
 
-    Right after each epoch's shuffle, one ``_draw_variants`` call draws an
-    augmentation per row, the draws one ``augment`` call per row would make,
-    and each step reads its rows' features off the variant table of
-    ``_variant_features``. Evaluates
-    on the eval split every epoch and returns the parameters from the best
-    eval epoch, so the returned eval NLL never exceeds the initial one.
-    Fully deterministic for a fixed config seed.
+    Right after each epoch's shuffle, one ``integers(N_VARIANTS, size=n)``
+    call draws a variant index per row, the indices one ``augment`` call
+    per row would draw, and each step reads its rows' features off the
+    variant table of ``_variant_features``. Evaluates on the eval split
+    every epoch and returns the parameters from the best eval epoch, so the
+    returned eval NLL never exceeds the initial one. Fully deterministic for
+    a fixed config seed.
     """
     train_rows = dataset.train_rows()
     eval_rows = dataset.eval_rows()
@@ -695,7 +645,7 @@ def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        variants = _draw_variants(rng, n)
+        variants = rng.integers(N_VARIANTS, size=n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = slice(start, start + config.batch_size)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mdn
 from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP,
-                  batch_unit_medians, clears_floor, height_units,
+                  batch_unit_medians, check_number, clears_floor, height_units,
                   local_median_height, observe_patch)
 
 @dataclass
@@ -37,8 +37,9 @@ class SelectionConfig:
     z_candidates_cm: ClassVar[tuple] = Z_INFER_DEEP
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        # 0 g is allowed: a percentile of the training masses can be 0 g
+        check_number("SelectionConfig.target_mass_g", self.target_mass_g, 0)
+        check_number("SelectionConfig.alpha", self.alpha, 0)
 
 
 @dataclass

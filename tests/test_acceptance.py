@@ -45,6 +45,14 @@ def cell(report, arm, target, band=None):
     raise KeyError((arm, target, band))
 
 
+def paired_std_units(report, target, band=None):
+    """A paired row's mean difference over its paired std."""
+    for r in report.paired:
+        if r["target_g"] == pytest.approx(target) and (band is None or r["band_g"] == band):
+            return r["mean_pp"] / r["std_pp"]
+    raise KeyError((target, band))
+
+
 def test_c01_gradient_correctness():
     rng = np.random.default_rng(42)
     cfg = ModelConfig(K=2, feature_downsample=40, hidden_sizes=(8,), seed=1)
@@ -239,22 +247,28 @@ def test_c07_directional_reproduction(study_reports, trained_model):
                 f"TABLE4 direction failed at ({target}, {band})"
 
     assert elapsed < 300.0
-    margins = {}
+    margins, strength = {}, {}
     for p, target in zip((10, 50, 70), targets):
         margins[f"TABLE1 p{p}"] = cell(t1, "alpha=1", target) - cell(t1, "alpha=0", target)
+        strength[f"TABLE1 p{p}"] = paired_std_units(t1, target)
         for band in (2.0, 3.0, 4.0):
             margins[f"TABLE4 p{p} +-{band:.0f} g"] = (cell(t4, "ours", target, band)
                                                    - cell(t4, "baseline", target, band))
+            strength[f"TABLE4 p{p} +-{band:.0f} g"] = paired_std_units(t4, target, band)
     for drop in (3.0, 5.0, 10.0):
         margins[f"TABLE2 drop {drop:.0f} g"] = (cell(t2, "pregrasp=on", drop, 2.0)
                                                - cell(t2, "pregrasp=off", drop, 2.0))
+        strength[f"TABLE2 drop {drop:.0f} g"] = paired_std_units(t2, drop, 2.0)
     for band in (2.0, 3.0, 4.0, 5.0):
         margins[f"TABLE3 +-{band:.0f} g"] = (cell(t3, "spines=on", 10.0, band)
                                              - cell(t3, "spines=off", 10.0, band))
+        strength[f"TABLE3 +-{band:.0f} g"] = paired_std_units(t3, 10.0, band)
     thinnest = min(margins, key=margins.get)
+    weakest = min(strength, key=strength.get)
     print(f"\n[ACCEPTANCE] 7 directional reproduction: PASS "
           f"(all four studies, 200 episodes/cell, {elapsed:.0f}s < 300s; "
-          f"thinnest of {len(margins)}: {thinnest} by {margins[thinnest]:.2f} pp)")
+          f"thinnest of {len(margins)}: {thinnest} by {margins[thinnest]:.2f} pp; "
+          f"weakest in paired std: {weakest} at {strength[weakest]:.2f} std)")
 
 
 def test_c08_histogram_modality(sim_config):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from entpick import cli, mdn, sim
+from entpick import cli, mdn, select, sim
 from entpick.mdn import ModelConfig
 
 FUZZ = settings(max_examples=30, deadline=None,
@@ -499,6 +499,27 @@ def test_dataset_rejects_bad_depth_or_mass(workdir, dataset_path, field, value):
     assert "line 3" in err[0] and f"{field} must be a number" in err[0]
 
 
+# ---------------------------------------------------------------- SelectionConfig
+
+@pytest.mark.parametrize("fields, name", [
+    ({"target_mass_g": math.nan}, "target_mass_g"),
+    ({"target_mass_g": -1e-9}, "target_mass_g"),
+    ({"target_mass_g": "20"}, "target_mass_g"),
+    ({"target_mass_g": math.inf}, "target_mass_g"),
+    ({"target_mass_g": 20.0, "alpha": math.nan}, "alpha"),
+    ({"target_mass_g": 20.0, "alpha": math.inf}, "alpha"),
+    ({"target_mass_g": 20.0, "alpha": -1e-9}, "alpha"),
+])
+def test_selection_config_rejects_bad_fields(fields, name):
+    with pytest.raises(ValueError, match=f"SelectionConfig.{name}"):
+        select.SelectionConfig(**fields)
+
+
+def test_selection_config_accepts_a_zero_target():
+    # a percentile of the training masses can be 0 g
+    assert select.SelectionConfig(target_mass_g=0, alpha=0.0).target_mass_g == 0
+
+
 # ---------------------------------------------------------------- experiment
 
 @pytest.mark.parametrize("argv, needle", [
@@ -509,6 +530,14 @@ def test_dataset_rejects_bad_depth_or_mass(workdir, dataset_path, field, value):
     (("TABLE4", "--episodes", 30), "TABLE4 needs a trained model"),
     (("HISTOGRAM", "--n", 1), "--n must be at least 2"),
     (("HISTOGRAM", "--n", 0), "--n must be at least 2"),
+    # a flag the preset does not read
+    (("TABLE2", "--episodes", 30, "--n", 50), "--n is read only by HISTOGRAM"),
+    (("TABLE3", "--n", 50), "--n is read only by HISTOGRAM"),
+    (("TABLE1", "model.json", "--n", 50), "--n is read only by HISTOGRAM"),
+    (("TABLE4", "model.json", "--episodes", 30, "--n", 50), "--n is read only by HISTOGRAM"),
+    (("HISTOGRAM", "--episodes", 30), "--episodes is not read by HISTOGRAM"),
+    (("HISTOGRAM", "--n", 4, "--episodes", 200), "--episodes is not read by HISTOGRAM"),
+    (("HISTOGRAM", "model.json", "--n", 4), "HISTOGRAM reads no model checkpoint"),
 ])
 def test_cli_experiment_bad_input_exit_2(workdir, argv, needle):
     out = workdir / "never_experiment.json"

@@ -218,6 +218,21 @@ def test_manifest_replay_reproduces_artifact(tmp_path):
     assert out.read_bytes() == replay_out.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [("HISTOGRAM", "--n", 6),
+                                  ("TABLE1", "{model}", "--episodes", 30)])
+def test_experiment_manifest_replay_reproduces_report(small_model, tmp_path, argv):
+    """A preset rejects the flags it does not read, so its manifest must not
+    write them; and a TABLE1 manifest must name its preset before its model."""
+    out = tmp_path / "orig.json"
+    argv = [str(a).format(model=small_model) for a in argv]
+    assert run_cli("experiment", *argv, "--seed", 4, "--out", out) == 0
+    with open(str(out) + ".manifest.json") as f:
+        replay = list(json.load(f)["argv"])
+    replay[replay.index("--out") + 1] = str(tmp_path / "replay.json")
+    assert cli.main(replay) == 0
+    assert out.read_bytes() == (tmp_path / "replay.json").read_bytes()
+
+
 def test_collect_two_grasps_then_train(tmp_path):
     data = tmp_path / "d.jsonl"
     assert run_cli("collect", "--n", 2, "--seed", 1, "--out", data) == 0

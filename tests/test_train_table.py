@@ -16,28 +16,16 @@ CONFIGS = {
 }
 
 
-class FixedDraw:
-    """Stands in for a Generator: replays one flip/offset draw the way
-    ``augment`` consumes the stream."""
+class OneDraw:
+    """Stands in for a Generator: ``augment`` draws its variant index with
+    one ``integers(N_VARIANTS)`` call, and this one returns ``variant``."""
 
-    def __init__(self, flip_v, flip_h, off):
-        self._coins = iter([0.25 if flip_v else 0.75, 0.25 if flip_h else 0.75])
-        self._off = off
+    def __init__(self, variant):
+        self._variant = variant
 
-    def random(self):
-        return next(self._coins)
-
-    def integers(self, lo, hi, size):
-        assert (lo, hi, size) == (0, mdn.N_OFFSETS, 2)
-        return np.array(self._off)
-
-
-def all_draws():
-    for flip_v in (False, True):
-        for flip_h in (False, True):
-            for o0 in range(mdn.N_OFFSETS):
-                for o1 in range(mdn.N_OFFSETS):
-                    yield flip_v, flip_h, (o0, o1)
+    def integers(self, high):
+        assert high == mdn.N_VARIANTS
+        return self._variant
 
 
 def reference_train(dataset, config):
@@ -86,33 +74,61 @@ def test_variant_table_matches_augment_crops(collected_dataset, name):
     rows = collected_dataset.train_rows()[:3]
     table = mdn._variant_features(rows, cfg)
     assert table.shape == (3, mdn.N_VARIANTS, cfg.n_features)
-    seen = set()
-    for flip_v, flip_h, off in all_draws():
-        variant = mdn._draw_variant(FixedDraw(flip_v, flip_h, off))
-        seen.add(variant)
+    for variant in range(mdn.N_VARIANTS):
         for i, row in enumerate(rows):
             obs = PatchObservation(row.patch / mdn.UNITS_PER_MM, row.z_cm)
-            crop = mdn.augment(obs, FixedDraw(flip_v, flip_h, off)).heights
+            crop = mdn.augment(obs, OneDraw(variant)).heights
             ref = mdn.features_from_rows(crop[None], np.array([row.z_cm]), cfg)[0]
-            assert np.array_equal(table[i, variant], ref), (flip_v, flip_h, off)
-    assert seen == set(range(mdn.N_VARIANTS))
+            assert np.array_equal(table[i, variant], ref), variant
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_train_matches_reference_loop(collected_dataset, name):
-    cfg = ModelConfig(seed=7, epochs=3, **CONFIGS[name])
+def reference_training_log(dataset, config, monkeypatch):
+    """Theta and the whole training log ``train`` must return, from
+    ``reference_train`` and the batch losses it computes: each epoch's
+    ``train_nll`` is the mean of that epoch's batch losses."""
+    losses = []
+    value_grad = mdn._nll_value_grad
+
+    def recording(*args):
+        loss, grad = value_grad(*args)
+        losses.append(loss)
+        return loss, grad
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mdn, "_nll_value_grad", recording)
+        theta, eval_nlls = reference_train(dataset, config)
+    masses = [r.mass_g for r in dataset.train_rows()]
+    steps = -(-len(masses) // config.batch_size)
+    assert len(losses) == config.epochs * steps
+    epochs = [{"epoch": 0, "train_nll": None, "eval_nll": eval_nlls[0]}]
+    epochs += [{"epoch": e, "train_nll": float(np.mean(losses[(e - 1) * steps:e * steps])),
+                "eval_nll": eval_nlls[e]} for e in range(1, config.epochs + 1)]
+    return theta, {"epochs": epochs, "best_eval_nll": min(eval_nlls),
+                   "train_masses_g": masses}
+
+
+REFERENCE_CASES = {
+    **{name: {"seed": 7, "epochs": 3, **fields} for name, fields in CONFIGS.items()},
+    # 7 does not divide the 150 train rows; 150 is one full batch per epoch
+    "seed0-batch7": {"seed": 0, "epochs": 20, "batch_size": 7},
+    "seed12345-batch150": {"seed": 12345, "epochs": 20, "batch_size": 150},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_train_matches_reference_loop(collected_dataset, monkeypatch, name):
+    cfg = ModelConfig(**REFERENCE_CASES[name])
     params = mdn.train(collected_dataset, cfg)
-    ref_theta, ref_eval = reference_train(collected_dataset, cfg)
-    assert np.array_equal(params.theta, ref_theta)
-    assert [e["eval_nll"] for e in params.training_log["epochs"]] == ref_eval
+    theta, log = reference_training_log(collected_dataset, cfg, monkeypatch)
+    assert params.theta.tobytes() == theta.tobytes()
+    assert params.training_log == log
 
 
-def test_default_checkpoint_matches_reference(collected_dataset, trained_model):
+def test_default_checkpoint_matches_reference(collected_dataset, trained_model, monkeypatch):
     """Every one of the 400 epochs, not only the best, equals the reference."""
-    ref_theta, ref_eval = reference_train(collected_dataset, trained_model.config)
-    assert np.array_equal(trained_model.theta, ref_theta)
-    assert [e["eval_nll"] for e in trained_model.training_log["epochs"]] == ref_eval
-    assert trained_model.training_log["best_eval_nll"] == min(ref_eval)
+    theta, log = reference_training_log(collected_dataset, trained_model.config, monkeypatch)
+    assert trained_model.theta.tobytes() == theta.tobytes()
+    assert trained_model.training_log == log
 
 
 def test_collected_patches_lie_on_the_feature_grid(collected_dataset):
@@ -150,41 +166,10 @@ def test_train_never_crops(collected_dataset, monkeypatch):
     assert calls == {"features_from_rows": 0, "_unit_features": 1}
 
 
-# ---------------------------------------------------------------- bulk draws
-
-@pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 7, 16, 150])
-def test_draw_variants_equal_one_draw_at_a_time(n, buffered):
-    for seed in range(50):
-        bulk, one = np.random.default_rng(seed), np.random.default_rng(seed)
-        if buffered:   # leave the high half of a word in PCG64's 32-bit buffer
-            bulk.integers(0, mdn.N_OFFSETS)
-            one.integers(0, mdn.N_OFFSETS)
-        assert bulk.bit_generator.state["has_uint32"] == int(buffered)
-        got = mdn._draw_variants(bulk, n)
-        want = [mdn._draw_variant(one) for _ in range(n)]
-        assert got.tolist() == want, seed
-        assert bulk.bit_generator.state == one.bit_generator.state, seed
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_draw_variants_redraw_falls_back(seed):
-    # a buffered half of 0 gives (0 * 11) % 2**32 = 0 < 4, which Lemire's
-    # method redraws, so the bulk read must give way to single draws
-    bulk, one = np.random.default_rng(seed), np.random.default_rng(seed)
-    state = bulk.bit_generator.state
-    state.update(has_uint32=1, uinteger=0)
-    bulk.bit_generator.state = state
-    one.bit_generator.state = state
-    got = mdn._draw_variants(bulk, 16)
-    want = [mdn._draw_variant(one) for _ in range(16)]
-    assert got.tolist() == want
-    assert bulk.bit_generator.state == one.bit_generator.state
-
-
 def one_draw_per_row_train(dataset, config):
-    """``train`` with one ``_draw_variant`` call per batch row: the same
-    stream as the bulk draw, so ``train`` must match it bit for bit."""
+    """``train`` on the same variant table, but with one
+    ``integers(N_VARIANTS)`` call per batch row in place of the epoch's bulk
+    draw: the same stream, so ``train`` must match it bit for bit."""
     train_rows, eval_rows = dataset.train_rows(), dataset.eval_rows()
     rng = np.random.default_rng(config.seed)
     params = mdn.init_params(config)
@@ -202,10 +187,11 @@ def one_draw_per_row_train(dataset, config):
     log = [{"epoch": 0, "train_nll": None, "eval_nll": best_nll}]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
+        variants = [int(rng.integers(mdn.N_VARIANTS)) for _ in range(n)]
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            feats = table[idx, [mdn._draw_variant(rng) for _ in idx]]
+            feats = table[idx, variants[start:start + config.batch_size]]
             loss, g = mdn._nll_value_grad(params, feats, masses[idx])
             epoch_losses.append(loss)
             t += 1
@@ -228,12 +214,3 @@ def test_default_checkpoint_equals_one_draw_per_row(collected_dataset, trained_m
     theta, log = one_draw_per_row_train(collected_dataset, trained_model.config)
     assert trained_model.theta.tobytes() == theta.tobytes()
     assert trained_model.training_log == log
-
-
-@pytest.mark.parametrize("seed, batch_size", [(0, 7), (12345, 150)])
-def test_train_equals_one_draw_per_row(collected_dataset, seed, batch_size):
-    cfg = ModelConfig(seed=seed, epochs=20, batch_size=batch_size)
-    params = mdn.train(collected_dataset, cfg)
-    theta, log = one_draw_per_row_train(collected_dataset, cfg)
-    assert params.theta.tobytes() == theta.tobytes()
-    assert params.training_log == log
