@@ -207,6 +207,10 @@ def cmd_experiment(args) -> int:
             raise UsageError("--episodes is not read by HISTOGRAM; it takes --n")
         if args.model:
             raise UsageError(f"HISTOGRAM reads no model checkpoint, got {args.model}")
+        if args.workers != 1:
+            raise UsageError(f"--workers {args.workers}: HISTOGRAM collects in one process; "
+                             f"leave --workers out")
+        args.workers = None   # not read, so the manifest leaves it out
         n = 200 if args.n is None else args.n
         if n < 2:
             raise UsageError("--n must be at least 2")

@@ -360,10 +360,27 @@ def features_from_rows(patches, depths, config: ModelConfig) -> np.ndarray:
     units = np.array(patches, dtype=float)
     units *= UNITS_PER_MM
     np.rint(units, out=units)
-    return _unit_features(units, depths, config)
+    return _stack_features(units, depths, config)
 
 
-def _unit_features(units, depths, config: ModelConfig) -> np.ndarray:
+def _unit_features(patches, depths, config: ModelConfig) -> np.ndarray:
+    """Features of square patches already in whole 0.05 mm units, such as
+    the int16 patches of dataset rows, at their depths (cm). Built one
+    patch at a time into a preallocated array, as ``_variant_features``
+    builds its table, so only one patch is held in float64 at once; the
+    sums are of whole units, so each row's features are those of the whole
+    stack."""
+    depths = np.asarray(depths, dtype=float)
+    feats = np.empty((len(patches), config.n_features))
+    if len(patches):
+        units = np.empty((1,) + np.shape(patches[0]))
+        for i, patch in enumerate(patches):
+            units[0] = patch
+            feats[i] = _stack_features(units, depths[i:i + 1], config)[0]
+    return feats
+
+
+def _stack_features(units, depths, config: ModelConfig) -> np.ndarray:
     """Features of a float64 stack of square patches of whole 0.05 mm units
     at their depths (cm)."""
     side = units.shape[-1]
@@ -586,10 +603,10 @@ def _variant_features(rows, config: ModelConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dataset_features(rows, config):
-    """Features and masses of dataset rows, their patches stacked in one
-    float64 array."""
-    depths = np.array([r.z_cm for r in rows])
-    return (_unit_features(np.array([r.patch for r in rows], dtype=float), depths, config),
+    """Features and masses of dataset rows, the features built from the
+    rows' int16 units one row at a time (``_unit_features``): no float64
+    stack of the split (10.24 MB for 50 rows) is ever held."""
+    return (_unit_features([r.patch for r in rows], [r.z_cm for r in rows], config),
             np.array([r.mass_g for r in rows]))
 
 

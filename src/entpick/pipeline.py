@@ -215,9 +215,11 @@ def _random_grasp_point(heap, zpool, rng, sim_config, max_tries=200):
         valid = [z for z in zpool if clears_floor(med, z, sim_config.clearance_mm)]
         if valid:
             return x, y, valid[int(rng.integers(len(valid)))]
+    fw, fl = sim_config.footprint_mm
     raise NoClearDepthError(f"no pool depth clears the tray floor at {max_tries} random points "
                             f"(fill_mm {sim_config.fill_mm:g}, clearance_mm "
-                            f"{sim_config.clearance_mm:g}): tray too shallow or depleted")
+                            f"{sim_config.clearance_mm:g}): tray too shallow or depleted, or "
+                            f"worn flat by the craters of footprint_mm {fw:g} x {fl:g}")
 
 
 def run_collection(sim_config: SimConfig, n: int, zpool=Z_POOL_DEEP,

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import mdn
-from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP,
+from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP, _kept,
                   batch_unit_medians, check_number, clears_floor, height_units,
                   local_median_height, observe_patch)
 
@@ -94,6 +94,12 @@ def score_candidate(model: mdn.ModelParams, heap: HeapState, x: int, y: int,
     return mdn.mixture_moments(mix)
 
 
+# footprints per gather step: at the 40 x 24 mm capture window a step's
+# temporary is 123 KB, below the 128 KiB at which glibc's malloc maps (and
+# on free unmaps) a block of its own
+_GATHER_ROWS = 16
+
+
 def _capture_sums(units, cx, cy, shape, tips):
     """Exact capture sums over footprints of an integer height grid.
 
@@ -104,14 +110,29 @@ def _capture_sums(units, cx, cy, shape, tips):
     sum(max(t - 2u, 0)), and that last term is computed only where the
     footprint's lowest cell lies below the plane: one gather, one sum and one
     minimum per footprint, whatever the number of planes.
+
+    The gathered footprints and the below-plane terms live in kept working
+    arrays (``sim._kept``); integer sums are exact in any grouping.
     """
-    cells = np.lib.stride_tricks.sliding_window_view(units, shape)[cx, cy].reshape(len(cx), -1)
+    windows = np.lib.stride_tricks.sliding_window_view(units, shape)
+    cells = _kept("capture.cells", (len(cx),) + tuple(shape), np.int64)
+    # gathered a few footprints at a time, so no temporary nears the grid's size
+    for s in range(0, len(cx), _GATHER_ROWS):
+        cells[s:s + _GATHER_ROWS] = windows[cx[s:s + _GATHER_ROWS], cy[s:s + _GATHER_ROWS]]
+    cells = cells.reshape(len(cx), -1)
     sums = 2 * cells.sum(axis=1)[:, None] - cells.shape[1] * tips
     below = 2 * cells.min(axis=1)[:, None] < tips
     for j in range(tips.shape[1]):
         rows = np.flatnonzero(below[:, j])
         if rows.size:
-            sums[rows, j] += np.maximum(tips[rows, j, None] - 2 * cells[rows], 0).sum(axis=1)
+            # max(t - 2u, 0) over the footprints whose lowest cell lies below
+            # t; the rows are in range, and mode "raise" would buffer `out`
+            work = np.take(cells, rows, axis=0, mode="clip",
+                           out=_kept("capture.below", (rows.size, cells.shape[1]), np.int64))
+            work *= 2
+            np.subtract(tips[rows, j, None], work, out=work)
+            np.maximum(work, 0, out=work)
+            sums[rows, j] += work.sum(axis=1)
     return sums
 
 
@@ -127,13 +148,19 @@ def _lattice_features(config, heap, xy_points, z_list):
     footprint captures the sum of max(2u - t, 0) for the tip plane
     t = 2M - 200 z, which ``_capture_sums`` gathers once for every depth.
     The depths must be whole multiples of 0.005 cm.
+
+    The grid's 0.1 mm units (``sim.height_units``), int64 and as whole
+    float64 values for the span products, live in kept working arrays
+    (``sim._kept``).
     """
     n_xy = len(xy_points)
     m = PATCH_MARGIN
     side = 2 * m
     ix = np.fromiter((x - m for x, _ in xy_points), dtype=int, count=n_xy)
     iy = np.fromiter((y - m for _, y in xy_points), dtype=int, count=n_xy)
-    units_grid = height_units(heap.heights)
+    grid = height_units(heap.heights, out=_kept("lattice.grid", heap.heights.shape))
+    units_grid = _kept("lattice.units", heap.heights.shape, np.int64)
+    np.copyto(units_grid, grid, casting="unsafe")
     median_units = batch_unit_medians(units_grid, ix, iy, (side, side))
 
     s_out = config.pooled_side
@@ -142,7 +169,7 @@ def _lattice_features(config, heap, xy_points, z_list):
     ys, y_of = np.unique(iy, return_inverse=True)
     rows = mdn._span_matrix(np.add.outer(xs, lo), np.add.outer(xs, hi), units_grid.shape[0])
     cols = mdn._span_matrix(np.add.outer(ys, lo), np.add.outer(ys, hi), units_grid.shape[1])
-    sums = (rows @ units_grid.astype(float) @ cols.T).reshape(len(xs), s_out, len(ys), s_out)
+    sums = (rows @ grid @ cols.T).reshape(len(xs), s_out, len(ys), s_out)
     block_sums = 2 * sums[x_of, :, y_of, :].reshape(n_xy, -1) - areas * 2 * median_units[:, None]
 
     z_arr = np.asarray(z_list, dtype=float)

@@ -279,6 +279,33 @@ class SimConfig:
 
 
 # ---------------------------------------------------------------------------
+# working memory
+# ---------------------------------------------------------------------------
+
+_KEPT = {}
+
+
+def _kept(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """A C-contiguous working array of ``shape``: the leading elements of
+    one flat buffer that this process keeps per ``name`` and dtype. The
+    buffer is allocated on first use and grown to the largest size asked
+    for, so a call with a size seen before allocates nothing, and a fresh
+    process stops paying page faults for every large temporary. The
+    contents are whatever the last user left. A caller writes the array
+    before reading it, and never returns it or a view of it; two arrays
+    alive at once need two names. The buffers are module state on purpose:
+    they belong to the process, as the allocator's pages do, and since no
+    result depends on what a buffer held before, one caller cannot change
+    another's output."""
+    n = math.prod(shape)
+    key = (name, np.dtype(dtype))
+    buf = _KEPT.get(key)
+    if buf is None or buf.size < n:
+        buf = _KEPT[key] = np.empty(n, dtype)
+    return buf[:n].reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
 
@@ -518,8 +545,14 @@ def init_heap(config: SimConfig, seed: int) -> HeapState:
 
 
 def total_mass(heap: HeapState) -> float:
-    """Sum of rho * area * height over all columns, in grams."""
-    return float(np.sum(heap.bulk_density * heap.heights) * CELL_MASS_PER_MM)
+    """Sum of rho * area * height over all columns, in grams. The product
+    goes into a kept working array (``_kept``), so a call on a heap shape
+    seen before allocates nothing; the sum is the same as over a fresh
+    product."""
+    prod = _kept("total_mass", heap.heights.shape,
+                 np.result_type(heap.bulk_density, heap.heights))
+    return float(np.sum(np.multiply(heap.bulk_density, heap.heights, out=prod))
+                 * CELL_MASS_PER_MM)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +610,10 @@ def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
     key_base = (np.arange(region.shape[0]) // g * span - lo)[:, None]
 
     def keys(c0, c1):
-        k = region[:, c0:c1].astype(np.intp)
+        # one kept array (``_kept``), read by each bincount or add.at before
+        # the next call overwrites it
+        k = _kept("medians.keys", (region.shape[0], c1 - c0), np.intp)
+        np.copyto(k, region[:, c0:c1], casting="unsafe")
         k += key_base
         return k.ravel()
 
@@ -610,9 +646,15 @@ def patch_window(heap: HeapState, x: int, y: int):
     return heap.heights[x0:x1, y0:y1]
 
 
-def height_units(heights) -> np.ndarray:
-    """Heights (mm) as integer 0.1 mm quanta."""
-    return (np.asarray(heights) * 10.0 + 0.5).astype(np.int64)
+def height_units(heights, out=None) -> np.ndarray:
+    """Heights (mm) as integer 0.1 mm quanta: int64, or whole float64
+    values written into ``out`` (the same numbers, since a truncated
+    float64 below 2**53 is the int64 cast's value)."""
+    if out is None:
+        return (np.asarray(heights) * 10.0 + 0.5).astype(np.int64)
+    np.multiply(heights, 10.0, out=out)
+    out += 0.5
+    return np.trunc(out, out=out)
 
 
 def local_median_height(heap: HeapState, x: int, y: int) -> float:
@@ -726,15 +768,19 @@ def _settle(heap: HeapState, sl_x, sl_y, mask) -> None:
 def _slump(heap: HeapState, sl_x, sl_y, strength, reach_mm) -> None:
     """Loose material slumps toward the local level after the gripper
     withdraws: the column-mass field relaxes toward its box average inside
-    the disturbed window. Mass-exact up to one global rescale."""
+    the disturbed window. Mass-exact up to one global rescale. The box's
+    mass field and both filter passes live in kept working arrays
+    (``_kept``): a box no larger than one seen before allocates nothing."""
     rho = heap.bulk_density[sl_x, sl_y]
-    m = rho * heap.heights[sl_x, sl_y]
+    h = heap.heights[sl_x, sl_y]
+    dtype = np.result_type(rho, h)
+    m = np.multiply(rho, h, out=_kept("slump.m", rho.shape, dtype))
     total = m.sum()
     if total <= 0:
         return
     size = int(reach_mm)
-    rows = np.empty_like(m)
-    smooth = np.empty_like(m)
+    rows = _kept("slump.rows", m.shape, dtype)
+    smooth = _kept("slump.smooth", m.shape, dtype)
     for _ in range(3):
         ndimage.uniform_filter1d(m, size, axis=0, output=rows, mode="nearest")
         ndimage.uniform_filter1d(rows, size, axis=1, output=smooth, mode="nearest")

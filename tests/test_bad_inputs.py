@@ -314,6 +314,21 @@ def test_sim_config_accepts_the_widest_crater():
     assert sim.init_heap(cfg, seed=1).heights.shape == (160, 160)
 
 
+def test_cli_collect_craters_flatten_the_heap_names_the_footprint(workdir):
+    """The widest craters pass every size rule, but they wear the heap flat
+    to a median of 0 mm, so no pool depth clears the floor: the one line
+    names the footprint beside the fill and the clearance."""
+    config = write_json(workdir / "wide_footprint.json",
+                        {**SMALL_TRAY, "footprint_mm": [157.9, 157.9]})
+    out = workdir / "never_wide_footprint.jsonl"
+    code, err = run_cli("collect", "--n", 2, "--config", config, "--out", out)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "no pool depth clears the tray floor" in err[0]
+    assert "footprint_mm 157.9 x 157.9" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     SMALL_TRAY,
     {**SMALL_TRAY, "footprint_mm": [160, 160], "noise": {"amp_mm": 0.0}},
@@ -538,6 +553,7 @@ def test_selection_config_accepts_a_zero_target():
     (("HISTOGRAM", "--episodes", 30), "--episodes is not read by HISTOGRAM"),
     (("HISTOGRAM", "--n", 4, "--episodes", 200), "--episodes is not read by HISTOGRAM"),
     (("HISTOGRAM", "model.json", "--n", 4), "HISTOGRAM reads no model checkpoint"),
+    (("HISTOGRAM", "--n", 4, "--workers", 2), "--workers 2: HISTOGRAM collects in one process"),
 ])
 def test_cli_experiment_bad_input_exit_2(workdir, argv, needle):
     out = workdir / "never_experiment.json"

@@ -233,6 +233,21 @@ def test_experiment_manifest_replay_reproduces_report(small_model, tmp_path, arg
     assert out.read_bytes() == (tmp_path / "replay.json").read_bytes()
 
 
+def test_histogram_manifest_leaves_out_workers_and_old_manifests_replay(tmp_path):
+    """HISTOGRAM reads no --workers, so its manifest leaves the flag out;
+    a manifest written before that, which holds --workers 1, still replays
+    byte for byte."""
+    out = tmp_path / "hist.json"
+    assert run_cli("experiment", "HISTOGRAM", "--n", 6, "--seed", 4, "--out", out) == 0
+    with open(str(out) + ".manifest.json") as f:
+        argv = list(json.load(f)["argv"])
+    assert "--workers" not in argv
+    old = argv[:argv.index("--out")] + ["--workers", "1"] + argv[argv.index("--out"):]
+    old[old.index("--out") + 1] = str(tmp_path / "replay.json")
+    assert cli.main(old) == 0
+    assert out.read_bytes() == (tmp_path / "replay.json").read_bytes()
+
+
 def test_collect_two_grasps_then_train(tmp_path):
     data = tmp_path / "d.jsonl"
     assert run_cli("collect", "--n", 2, "--seed", 1, "--out", data) == 0

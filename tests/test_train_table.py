@@ -162,7 +162,7 @@ def test_train_never_crops(collected_dataset, monkeypatch):
         monkeypatch.setattr(mdn, name, counting(name))
     monkeypatch.setattr(mdn, "augment", no_augment)
     mdn.train(collected_dataset, ModelConfig(seed=7, epochs=2))
-    # the eval split, in units, in one stacked call
+    # the eval split, in units, in one call that builds it row by row
     assert calls == {"features_from_rows": 0, "_unit_features": 1}
 
 
