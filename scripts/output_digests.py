@@ -19,7 +19,10 @@ The outputs:
     (``mdn._dataset_features``, which reads patches as the tree stores
     them), the variant table of its first 8 train rows, and the features of
     the observed patch at every lattice point and depth of the seed-5 heap,
-    each under the default ``ModelConfig``; lattice patches go in as
+    each under the default ``ModelConfig``; and ``features.offgrid``, the
+    features of seeded N(0, 5) mm patches of sides 160 and 150 at
+    uniform(1, 4) cm depths, under the default ``ModelConfig`` and under
+    ``feature_downsample`` 40. Lattice and off-grid patches go in as
     stacked arrays, which every version of ``features_from_rows`` takes;
   - ``collect``/``train``: the dataset bytes of ``collect --n 200 --seed
     12345`` and the checkpoint bytes of ``train --seed 3`` on it;
@@ -93,6 +96,16 @@ def feature_outputs(dataset):
                                                 len(zs), axis=0), zs, cfg)
                for x, y in select._lattice_points(heap.tray_mm)]
     emit("features.lattice.seed5", np.concatenate(lattice).tobytes())
+    # N(0, 5) mm patches at uniform(1, 4) cm depths, as the gradient check
+    # draws them: the depths lie off the 0.005 cm grid, so the capture sums
+    # are not whole and their bits depend on the order of summation
+    rng = np.random.default_rng(42)
+    offgrid = []
+    for side in (sim.PATCH_SIDE, mdn.CROP_SIDE):
+        patches, depths = rng.normal(0, 5, (20, side, side)), rng.uniform(1, 4, 20)
+        for config in (cfg, mdn.ModelConfig(feature_downsample=40)):
+            offgrid.append(mdn.features_from_rows(patches, depths, config).tobytes())
+    emit("features.offgrid", b"".join(offgrid))
 
 
 def cli_outputs(model, tmp):

@@ -145,7 +145,10 @@ def cmd_train(args) -> int:
     _require_file(args.dataset, "dataset")
     with _bad_input("dataset"):
         dataset = mdn.Dataset.from_jsonl(args.dataset)
-    params = mdn.train(dataset, mcfg)
+    try:
+        params = mdn.train(dataset, mcfg)
+    except mdn.SplitError as exc:
+        raise UsageError(f"bad dataset {args.dataset}: {exc}") from exc
     mdn.save_checkpoint(params, args.out)
     write_manifest(args.out, "train", args, [str(args.out)], {"model": mcfg.seed})
     first = params.training_log["epochs"][0]["eval_nll"]

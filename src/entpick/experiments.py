@@ -208,11 +208,10 @@ def count_modes(hist: Histogram, window: int = 3, min_height_frac: float = 0.15,
 
 
 # ---------------------------------------------------------------------------
-# episodes: fn(sim_cfg, model, heap, rng_seed, cell value, [lattice], **arm kwargs)
+# episodes: fn(sim_cfg, model, heap, rng_seed, cell value, lattice, **arm kwargs)
 # ---------------------------------------------------------------------------
 
-def _selection_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice=None,
-                       **episode_kw):
+def _selection_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice, **episode_kw):
     """One target-mass pick with retries (TABLE4 and `run_episode_batch`);
     `lattice` is the scoring of `heap` for the first pick, `episode_kw` are
     EpisodeConfig fields."""
@@ -245,20 +244,18 @@ def _table1_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice):
 # -> every arm x cell's result, arm-major
 # ---------------------------------------------------------------------------
 
-def _run_index(episode, selects, sim_config, model, arms, values, heap_seed, ops_seed):
+def _run_index(episode, sim_config, model, arms, values, heap_seed, ops_seed):
     """Every arm x cell of one episode index, arm-major: one heap build, and
     each arm x cell on a fresh heap with a fresh generator on the same ops
     seed. Every arm x cell but the last gets a copy; the last takes the
-    built heap itself, which nothing reads after it. A study that selects
-    scores the fresh heap once for all of them, since scoring reads neither
-    the target nor alpha."""
+    built heap itself, which nothing reads after it. The fresh heap is
+    scored once, and each episode gets that ``lattice``, since scoring
+    reads neither the target nor alpha."""
     heap = init_heap(sim_config, heap_seed)
-    shared = {}
-    if selects:
-        shared["lattice"] = _score_lattice(model, heap, sim_config.clearance_mm)
+    lattice = _score_lattice(model, heap, sim_config.clearance_mm)
     jobs = [(kw, value) for kw in arms for value in values]
     return [episode(sim_config, model, heap if i == len(jobs) - 1 else heap.copy(), ops_seed,
-                    value, **shared, **kw)
+                    value, lattice=lattice, **kw)
             for i, (kw, value) in enumerate(jobs)]
 
 
@@ -345,13 +342,13 @@ class Study(NamedTuple):
 _RANDOM_GRASP = Study(_random_grasp_index, "final_within_band_of_drop_target",
                       lambda r, drop, band: r["ok"] and r["err"] <= band, True)
 STUDIES = {
-    "TABLE1": Study(partial(_run_index, _table1_episode, True),
+    "TABLE1": Study(partial(_run_index, _table1_episode),
                     "grasped_above_target_minus_2g",
                     lambda r, target, band: r["status"] == "placed"
                     and r["grasped"] > target - 2.0, False),
     "TABLE2": _RANDOM_GRASP,
     "TABLE3": _RANDOM_GRASP,
-    "TABLE4": Study(partial(_run_index, _selection_episode, True), "final_within_band",
+    "TABLE4": Study(partial(_run_index, _selection_episode), "final_within_band",
                     lambda r, target, band: r["status"] == "placed"
                     and abs(r["final"] - target) <= band, True),
 }
@@ -445,7 +442,7 @@ def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: flo
     """Independent seeded episodes at one (target, alpha), each on its own
     heap: one arm x one cell of the study runner; returns the summary dict
     and JSON-lines trace records."""
-    index = partial(_run_index, _selection_episode, True, sim_config, model,
+    index = partial(_run_index, _selection_episode, sim_config, model,
                     ({"alpha": alpha, "trace": trace},), (target,))
     results = [r for rs in _map_episodes(index, _episode_seeds(seed, episodes), workers)
                for r in rs]

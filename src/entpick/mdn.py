@@ -11,10 +11,12 @@ reverse-mode gradients and an adaptive-moment optimizer; flips and random
 crops exploit the gripper symmetry on the tiny datasets this is meant for.
 
 Features have one rule, ``_features``, which divides exact integer sums of
-heights in whole 0.05 mm units; ``features_from_rows``, ``_variant_features``
-and ``select._lattice_features`` reach the same sums, so the same bits.
-Dataset patches are stored in those units, as int16 (``patch_units``), in
-memory and in the dataset file, so training reads them without rounding.
+heights in whole 0.05 mm units. One loop, ``_unit_features``, takes patches
+to those sums one patch at a time: heights in mm (``features_from_rows``)
+are rounded to units as they are copied, and dataset patches are stored in
+units, as int16 (``patch_units``), in memory and in the dataset file, so
+they are read without rounding. ``_variant_features`` and
+``select._lattice_features`` reach the same sums, so the same bits.
 
 Training works in feature space. Every feature is a rectangle sum, and a
 flip maps a crop rectangle to a mirrored rectangle of the unflipped patch,
@@ -351,58 +353,53 @@ def _features(block_sums, areas, capture_sums, depths) -> np.ndarray:
 
 
 def features_from_rows(patches, depths, config: ModelConfig) -> np.ndarray:
-    """Features of a list or stack of square median-relative patches (mm) at
-    their depths (cm). Heights are read as whole 0.05 mm units, rint(20 h),
-    held in float64; off-grid input, such as Gaussian noise, is read at the
-    nearest 0.05 mm. Depths are not rounded. The patches are copied once,
-    and the copy is scaled and rounded in place. Dataset patches, already
-    in units, go to ``_unit_features`` directly."""
-    units = np.array(patches, dtype=float)
-    units *= UNITS_PER_MM
-    np.rint(units, out=units)
-    return _stack_features(units, depths, config)
+    """Features of a list or stack of square median-relative patches (mm),
+    all of one side, at their depths (cm). Heights are read as whole 0.05 mm
+    units, rint(20 h), so off-grid input, such as Gaussian noise, is read
+    at the nearest 0.05 mm; depths are not rounded. Built by
+    ``_unit_features``, one patch at a time."""
+    return _unit_features(patches, depths, config, in_mm=True)
 
 
-def _unit_features(patches, depths, config: ModelConfig) -> np.ndarray:
-    """Features of square patches already in whole 0.05 mm units, such as
-    the int16 patches of dataset rows, at their depths (cm). Built one
-    patch at a time into a preallocated array, as ``_variant_features``
-    builds its table, so only one patch is held in float64 at once; the
-    sums are of whole units, so each row's features are those of the whole
-    stack."""
+def _unit_features(patches, depths, config: ModelConfig, in_mm=False) -> np.ndarray:
+    """The one loop from patches to features, shape (len(patches),
+    n_features): each patch is copied into one reused float64 array as whole
+    0.05 mm units, rint(20 h) of heights in mm when ``in_mm``, else the
+    units as given (the int16 patches of dataset rows), and its pooled block
+    sums (0/1 span-matrix products) and capture sum are taken there, so only
+    one patch is ever held in float64."""
     depths = np.asarray(depths, dtype=float)
-    feats = np.empty((len(patches), config.n_features))
-    if len(patches):
-        units = np.empty((1,) + np.shape(patches[0]))
-        for i, patch in enumerate(patches):
-            units[0] = patch
-            feats[i] = _stack_features(units, depths[i:i + 1], config)[0]
-    return feats
-
-
-def _stack_features(units, depths, config: ModelConfig) -> np.ndarray:
-    """Features of a float64 stack of square patches of whole 0.05 mm units
-    at their depths (cm)."""
-    side = units.shape[-1]
-    if units.shape[1:] != (side, side) or side not in (PATCH_SIDE, CROP_SIDE):
+    if not len(patches):
+        return np.empty((0, config.n_features))
+    shape = np.shape(patches[0])
+    if shape not in ((PATCH_SIDE, PATCH_SIDE), (CROP_SIDE, CROP_SIDE)):
         raise ValueError(f"patches must be square of side {PATCH_SIDE} or {CROP_SIDE}, "
-                         f"got shape {units.shape[1:]}")
-    depths = np.asarray(depths, dtype=float)
-    lo, hi, areas = _pool_spans(side, config.pooled_side)
-    pool = _span_matrix(lo, hi, side)
-    (r0, r1), (c0, c1) = _capture_spans(side)
-    plane = (depths * DEPTH_UNITS_PER_CM)[:, None, None]
-    caps = np.maximum(units[:, r0:r1, c0:c1] + plane, 0.0).sum(axis=(1, 2))
-    return _features((pool @ units @ pool.T).reshape(len(units), -1), areas, caps, depths)
+                         f"got shape {shape}")
+    lo, hi, areas = _pool_spans(shape[0], config.pooled_side)
+    pool = _span_matrix(lo, hi, shape[0])
+    (r0, r1), (c0, c1) = _capture_spans(shape[0])
+    units = np.empty(shape)
+    block_sums = np.empty((len(patches), areas.size))
+    capture_sums = np.empty(len(patches))
+    for i, patch in enumerate(patches):
+        if np.shape(patch) != shape:
+            raise ValueError(f"patches must be square and of one side: patch {i} has "
+                             f"shape {np.shape(patch)}, patch 0 {shape}")
+        if in_mm:
+            np.multiply(patch, UNITS_PER_MM, out=units, dtype=float)
+            np.rint(units, out=units)
+        else:
+            units[...] = patch
+        block_sums[i] = (pool @ units @ pool.T).ravel()
+        capture_sums[i] = np.maximum(units[r0:r1, c0:c1] + depths[i] * DEPTH_UNITS_PER_CM,
+                                     0.0).sum()
+    return _features(block_sums, areas, capture_sums, depths)
 
 
 def _obs_patch(obs: PatchObservation) -> np.ndarray:
     if obs.insertion_depth is None:
         raise ValueError("observation has no insertion depth set")
-    patch = np.asarray(obs.heights, dtype=float)
-    if patch.ndim != 2 or patch.shape[0] != patch.shape[1]:
-        raise ValueError(f"expected a square patch, got shape {patch.shape}")
-    return patch
+    return obs.heights
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +452,19 @@ def mdn_pdf(mix: MixtureParams, m) -> float | np.ndarray:
 
 
 def mixture_moments(mix: MixtureParams) -> tuple:
-    """Collapse a mixture to (mean, total std) by the law of total variance:
-    the pair grasp selection judges."""
-    mu_bar = float(np.dot(mix.pi, mix.mu))
-    var = float(np.dot(mix.pi, mix.sigma ** 2 + mix.mu ** 2) - mu_bar ** 2)
-    return mu_bar, math.sqrt(max(var, 0.0))
+    """Collapse a mixture to (mean, total std), the pair grasp selection
+    judges: ``_reduce_mixture`` of its one row."""
+    mu_bar, sigma = _reduce_mixture(*map(np.atleast_2d, (mix.pi, mix.mu, mix.sigma)))
+    return float(mu_bar[0]), float(sigma[0])
+
+
+def _reduce_mixture(pi, mu, sigma):
+    """Mean and total std of each row's mixture, (n, K) arrays in and (n,)
+    arrays out, by the law of total variance; ``select._score_grid`` reads
+    it for a whole lattice at once."""
+    mu_bar = (pi * mu).sum(axis=1)
+    var = (pi * (sigma ** 2 + mu ** 2)).sum(axis=1) - mu_bar ** 2
+    return mu_bar, np.sqrt(np.maximum(var, 0.0))
 
 
 def _batch_features_masses(params: ModelParams, batch):
@@ -604,7 +609,7 @@ def _variant_features(rows, config: ModelConfig) -> np.ndarray:
 
 def _dataset_features(rows, config):
     """Features and masses of dataset rows, the features built from the
-    rows' int16 units one row at a time (``_unit_features``): no float64
+    rows' int16 units by ``_unit_features``, one row at a time: no float64
     stack of the split (10.24 MB for 50 rows) is ever held."""
     return (_unit_features([r.patch for r in rows], [r.z_cm for r in rows], config),
             np.array([r.mass_g for r in rows]))
@@ -627,6 +632,10 @@ def _init_head_from_masses(params: ModelParams, masses) -> None:
     head_b[2 * k:] = sraw0
 
 
+class SplitError(ValueError):
+    """A dataset without both a train and an eval row: the input is at fault."""
+
+
 def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
     """Stochastic NLL training on the train split with augmentation.
 
@@ -641,7 +650,8 @@ def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
     train_rows = dataset.train_rows()
     eval_rows = dataset.eval_rows()
     if not train_rows or not eval_rows:
-        raise ValueError("dataset must contain non-empty train and eval splits")
+        raise SplitError(f"dataset must contain non-empty train and eval splits, "
+                         f"got {len(train_rows)} train and {len(eval_rows)} eval rows")
     rng = np.random.default_rng(config.seed)
     params = init_params(config)
     _init_head_from_masses(params, [r.mass_g for r in train_rows])

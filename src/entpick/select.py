@@ -49,7 +49,6 @@ class SelectedGrasp:
     z_cm: float
     mu_g: float
     sigma_g: float
-    score: float
     index: int
 
 
@@ -74,13 +73,6 @@ def enumerate_candidates(heap_dims: tuple, config: SelectionConfig = None) -> li
     then z). Every config shares it, so ``config`` is not read."""
     return [(x, y, z) for x, y in _lattice_points(heap_dims)
             for z in SelectionConfig.z_candidates_cm]
-
-
-def _reduce_mixture(pi, mu, sigma):
-    """Row-wise ``mdn.mixture_moments``: mean and law-of-total-variance std."""
-    mu_bar = (pi * mu).sum(axis=1)
-    var = (pi * (sigma ** 2 + mu ** 2)).sum(axis=1) - mu_bar ** 2
-    return mu_bar, np.sqrt(np.maximum(var, 0.0))
 
 
 def score_candidate(model: mdn.ModelParams, heap: HeapState, x: int, y: int,
@@ -188,7 +180,7 @@ def _score_grid(model, heap, xy_points, z_list, clearance_mm):
     order."""
     medians, feats = _lattice_features(model.config, heap, xy_points, z_list)
     pi, mu_k, sigma_k = mdn._forward_batch(model, feats.reshape(-1, feats.shape[-1]))
-    mu, sigma = _reduce_mixture(pi, mu_k, sigma_k)
+    mu, sigma = mdn._reduce_mixture(pi, mu_k, sigma_k)
     clear = clears_floor(medians[:, None], np.asarray(z_list, dtype=float), clearance_mm)
     return (np.where(clear, mu.reshape(clear.shape), 0.0),
             np.where(clear, sigma.reshape(clear.shape), math.inf))
@@ -226,9 +218,7 @@ def pick_grasp(lattice, config: SelectionConfig):
     if idx is None:
         return None
     x, y, z = cands[idx]
-    return SelectedGrasp(x, y, z, float(flat_mu[idx]), float(flat_sigma[idx]),
-                         float(abs(config.target_mass_g - flat_mu[idx]) + flat_sigma[idx]),
-                         idx)
+    return SelectedGrasp(x, y, z, float(flat_mu[idx]), float(flat_sigma[idx]), idx)
 
 
 def select_grasp(model: mdn.ModelParams, heap: HeapState, config: SelectionConfig,

@@ -324,7 +324,6 @@ class HeapState:
     entanglement: np.ndarray  # lambda in [0, 1]
     bulk_density: np.ndarray  # g/cm^3, > 0
     tray_mm: tuple
-    rng_seed: int
     lambda_fresh: np.ndarray | None = None
     rho_fresh: np.ndarray | None = None
 
@@ -351,7 +350,7 @@ class HeapState:
 
     def copy(self) -> "HeapState":
         return HeapState(self.heights.copy(), self.entanglement.copy(),
-                         self.bulk_density.copy(), self.tray_mm, self.rng_seed,
+                         self.bulk_density.copy(), self.tray_mm,
                          self.lambda_fresh, self.rho_fresh)
 
     def state_digest(self) -> str:
@@ -539,7 +538,7 @@ def init_heap(config: SimConfig, seed: int) -> HeapState:
     rlo, rhi = config.rho_range
     rho = _pixel_double(rlo + (rhi - rlo) * ndtr(f_rho), shape)
 
-    heap = HeapState(hfield, lam, rho, (int(w), int(d), int(depth)), int(seed))
+    heap = HeapState(hfield, lam, rho, (int(w), int(d), int(depth)))
     heap.validate()
     return heap
 

@@ -179,7 +179,7 @@ def test_c05_threshold_semantics(monkeypatch, sim_config):
     def force(grasped_seq):
         seq = iter(grasped_seq)
         monkeypatch.setattr(pipeline, "select_grasp",
-                            lambda *a, **k: SelectedGrasp(200, 150, 3.0, 25.0, 1.0, 4.0, 0))
+                            lambda *a, **k: SelectedGrasp(200, 150, 3.0, 25.0, 1.0, 0))
         monkeypatch.setattr(pipeline, "execute_grasp",
                             lambda *a, **k: GraspOutcome(g := next(seq), g, 0.0, []))
         monkeypatch.setattr(pipeline, "apply_pregrasp", lambda *a, **k: None)

@@ -514,6 +514,22 @@ def test_dataset_rejects_bad_depth_or_mass(workdir, dataset_path, field, value):
     assert "line 3" in err[0] and f"{field} must be a number" in err[0]
 
 
+@pytest.mark.parametrize("splits, counts", [
+    ((), "got 0 train and 0 eval rows"),
+    (("train",), "got 3 train and 0 eval rows"),
+    (("eval",), "got 0 train and 1 eval rows"),
+], ids=["empty", "train_only", "eval_only"])
+def test_cli_train_rejects_a_missing_split(workdir, dataset_path, splits, counts):
+    path = workdir / "one_split.jsonl"
+    path.write_text("".join(line + "\n" for line in dataset_path.read_text().splitlines()
+                            if json.loads(line)["split"] in splits))
+    out = workdir / "split_never.json"
+    code, err = run_cli("train", path, "--out", out)
+    assert code == 2 and len(err) == 1
+    assert str(path) in err[0] and counts in err[0]
+    assert not out.exists() and not pathlib.Path(f"{out}.manifest.json").exists()
+
+
 # ---------------------------------------------------------------- SelectionConfig
 
 @pytest.mark.parametrize("fields, name", [

@@ -279,7 +279,7 @@ def test_episode_index_copies_all_but_the_last_heap(sim_config, trained_model, m
 
     arms = ({"spines": False}, {"spines": True})
     values = (10.0, 20.0, 30.0)
-    assert ex._run_index(recording_episode, False, sim_config, None, arms, values,
+    assert ex._run_index(recording_episode, sim_config, trained_model, arms, values,
                          4, 5) == list(values) * 2
     # 2 arms x 3 cells: five copies, then the built heap itself
     assert len(copies) == 5 and len(builds) == 1
@@ -426,10 +426,11 @@ def _random_grasp_episode(sim_cfg, model, heap, rng_seed, drop_g, pregrasp, spin
 
 
 def _reference_index(sim_config, arms, drops, heap_seed, ops_seed):
-    """One fresh copy of the index's heap and one fresh generator per arm x
-    drop, each running the whole per-episode loop."""
-    return ex._run_index(_random_grasp_episode, False, sim_config, None, arms, drops,
-                         heap_seed, ops_seed)
+    """A freshly built heap and a fresh generator per arm x drop, each
+    running the whole per-episode loop, arm-major."""
+    return [_random_grasp_episode(sim_config, None, sim.init_heap(sim_config, heap_seed),
+                                  ops_seed, drop, **kw)
+            for kw in arms for drop in drops]
 
 
 @pytest.mark.parametrize("name, drops, episodes", [

@@ -53,8 +53,9 @@ def test_dataset_features_build_one_row_at_a_time():
     peak, (feats, masses) = traced_peak(lambda: mdn._dataset_features(rows, config))
     # the whole float64 stack was 50 x 160 x 160 x 8 = 10.24 MB
     assert peak < 1_000_000
-    stack = np.array([r.patch for r in rows], dtype=float)
-    assert np.array_equal(feats, mdn._stack_features(stack, [r.z_cm for r in rows], config))
+    for row, row_feats in zip(rows, feats):
+        assert np.array_equal(row_feats, mdn.features_from_rows(
+            [row.patch / mdn.UNITS_PER_MM], [row.z_cm], config)[0])
     assert masses.tolist() == [20.0] * 50
 
 

@@ -148,6 +148,20 @@ def test_batch_features_equal_per_observation(cfg, side, size):
     assert np.array_equal(masses, [m for _, m in batch])
 
 
+def test_features_of_mixed_sides_name_the_bad_shape():
+    rng = np.random.default_rng(5)
+    patches = [rng.normal(0, 5, (160, 160)), rng.normal(0, 5, (150, 150))]
+    with pytest.raises(ValueError, match=r"patch 1 has shape \(150, 150\)"):
+        mdn.features_from_rows(patches, [2.0, 3.0], tiny_config())
+
+
+def test_features_of_no_patches_are_an_empty_table():
+    cfg = tiny_config()
+    for build in (mdn.features_from_rows, mdn._unit_features):
+        feats = build([], [], cfg)
+        assert feats.shape == (0, cfg.n_features) and feats.dtype == np.float64
+
+
 def test_nll_batch_checks_each_observation():
     rng = np.random.default_rng(13)
     params = mdn.init_params(tiny_config())

@@ -109,7 +109,7 @@ def forced_episode(monkeypatch):
         seq = iter(grasped_seq)
 
         def fake_select(model_, heap_, sel_cfg, clearance_mm=5.0):
-            return SelectedGrasp(200, 150, 3.0, 25.0, 1.0, 4.0, 0)
+            return SelectedGrasp(200, 150, 3.0, 25.0, 1.0, 0)
 
         def fake_grasp(heap_, x, y, z, rng_, config_):
             g = next(seq)

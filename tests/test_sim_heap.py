@@ -135,7 +135,7 @@ def reference_init_heap(config, seed):
     lam = lo + (hi - lo) * ndtr(f_lam)
     rlo, rhi = config.rho_range
     rho = rlo + (rhi - rlo) * ndtr(f_rho)
-    return sim.HeapState(heights, lam, rho, (int(w), int(d), int(depth)), int(seed))
+    return sim.HeapState(heights, lam, rho, (int(w), int(d), int(depth)))
 
 
 def heap_fields(heap):
