@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Cold command-line runs: the wall time, minor page faults and system time
-of each study command in a fresh interpreter.
+of the collect, train and study commands, each in a fresh interpreter.
 
-    PYTHONPATH=src python scripts/cold_cli.py [--model model.json]
+    PYTHONPATH=src python scripts/cold_cli.py
 
-Without ``--model`` it first collects 200 grasps and trains the default
-model (about 15 s on two cores). It then runs, each in a new ``python -m
-entpick.cli`` on this checkout's ``src``:
+It runs, each in a new ``python -m entpick.cli`` on this checkout's ``src``:
 
+  - ``collect --n 200`` and ``train`` of the default model on that dataset
+    (about 3 s on two cores);
   - ``experiment TABLE1``-``TABLE4 --episodes 30``;
-  - ``run <model> --target 30 --episodes 40``.
+  - ``run <model> --target 30 --episodes 40``, on the model just trained.
 
 For each command it prints the wall time, and the minor faults and system
 time that ``getrusage(RUSAGE_CHILDREN)`` gains over that child. A bare
@@ -42,22 +42,20 @@ def child(argv, env) -> tuple:
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--model", help="a trained checkpoint; trains one when absent")
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     src = str(ROOT / "src")
     env = {**os.environ,
            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
-        model = args.model
-        if model is None:
-            model = str(out / "model.json")
-            for argv in (("collect", "--n", "200", "--seed", "7", "--out", str(out / "d.jsonl")),
-                         ("train", str(out / "d.jsonl"), "--seed", "7", "--out", model)):
-                child(("-m", "entpick.cli", *argv), env)
-        commands = {"import": ("-c", IMPORT)}
+        data, model = str(out / "d.jsonl"), str(out / "model.json")
+        commands = {
+            "import": ("-c", IMPORT),
+            "collect": ("-m", "entpick.cli", "collect", "--n", "200", "--seed", "7",
+                        "--out", data),
+            "train": ("-m", "entpick.cli", "train", data, "--seed", "7", "--out", model),
+        }
         for preset in ("TABLE1", "TABLE2", "TABLE3", "TABLE4"):
             argv = ["experiment", preset]
             if preset in ("TABLE1", "TABLE4"):

@@ -367,8 +367,12 @@ def _unit_features(patches, depths, config: ModelConfig, in_mm=False) -> np.ndar
     0.05 mm units, rint(20 h) of heights in mm when ``in_mm``, else the
     units as given (the int16 patches of dataset rows), and its pooled block
     sums (0/1 span-matrix products) and capture sum are taken there, so only
-    one patch is ever held in float64."""
+    one patch is ever held in float64. Takes one depth per patch, and raises
+    ValueError naming both counts otherwise."""
     depths = np.asarray(depths, dtype=float)
+    if depths.shape != (len(patches),):
+        raise ValueError(f"need one depth per patch: got {len(patches)} patches and "
+                         f"{depths.size} depths")
     if not len(patches):
         return np.empty((0, config.n_features))
     shape = np.shape(patches[0])
@@ -478,11 +482,18 @@ def _batch_features_masses(params: ModelParams, batch):
 
 
 def _log_mix(pi, mu, sigma, masses):
-    z = (masses[:, None] - mu) / sigma
+    """Log likelihood of each row's mass under its mixture, by log-sum-exp,
+    and what the gradient reads again: ``diff = masses - mu`` and the
+    shifted exponentials ``e = exp(a - max a)`` with their row sums ``s``,
+    so the responsibilities are ``e / s``."""
+    diff = masses[:, None] - mu
+    z = diff / sigma
     log_comp = -0.5 * z ** 2 - np.log(sigma) - 0.5 * LOG_2PI
     a = np.log(pi + 1e-300) + log_comp
     a_max = a.max(axis=1, keepdims=True)
-    return (a_max + np.log(np.exp(a - a_max).sum(axis=1, keepdims=True))).ravel(), a
+    e = np.exp(a - a_max)
+    s = e.sum(axis=1, keepdims=True)
+    return (a_max + np.log(s)).ravel(), diff, e, s
 
 
 def nll_loss(params: ModelParams, batch) -> float:
@@ -494,8 +505,7 @@ def nll_loss(params: ModelParams, batch) -> float:
 
 def _nll_from_features(params: ModelParams, feats, masses) -> float:
     pi, mu, sigma = _forward_batch(params, feats)
-    log_lik, _ = _log_mix(pi, mu, sigma, masses)
-    return float(-log_lik.mean())
+    return float(-_log_mix(pi, mu, sigma, masses)[0].mean())
 
 
 def nll_grad(params: ModelParams, batch) -> np.ndarray:
@@ -506,35 +516,36 @@ def nll_grad(params: ModelParams, batch) -> np.ndarray:
 
 
 def _nll_value_grad(params: ModelParams, feats, masses):
+    """The mean NLL of a batch and its exact gradient, a new flat array laid
+    out as theta: each intermediate is formed once, and each layer's
+    gradient is written into its ``_unpack`` view of the flat array."""
     cfg = params.config
     pi, mu, sigma, (layers, acts, sraw) = _forward_batch(params, feats, want_cache=True)
     n = feats.shape[0]
-    log_lik, a = _log_mix(pi, mu, sigma, masses)
+    log_lik, diff, r, s = _log_mix(pi, mu, sigma, masses)
     loss = float(-log_lik.mean())
 
-    r = np.exp(a - a.max(axis=1, keepdims=True))
-    r /= r.sum(axis=1, keepdims=True)          # responsibilities
-    diff = masses[:, None] - mu
-    d_logits = (pi - r) / n
-    d_mu = -r * diff / sigma ** 2 / n
-    if cfg.fixed_sigma is not None:
-        d_sraw = np.zeros_like(d_mu)
+    r /= s                                     # responsibilities
+    k = cfg.K
+    # the head gradient times n: logits, mu, then sigma; one division by n
+    d_head = np.empty((n, 3 * k))
+    np.subtract(pi, r, out=d_head[:, :k])
+    neg_r = -r
+    np.divide(neg_r * diff, sigma ** 2, out=d_head[:, k:2 * k])
+    np.multiply(neg_r, diff ** 2 / sigma ** 3 - 1.0 / sigma, out=d_head[:, 2 * k:])
+    d_head /= n
+    if cfg.fixed_sigma is None:
+        d_head[:, 2 * k:] /= 1.0 + np.exp(-sraw)   # to sraw: softplus' = sigmoid
     else:
-        d_sigma = -r * (diff ** 2 / sigma ** 3 - 1.0 / sigma) / n
-        d_sraw = d_sigma / (1.0 + np.exp(-sraw))  # softplus' = sigmoid
-    d_head = np.hstack([d_logits, d_mu, d_sraw])
+        d_head[:, 2 * k:] = 0.0
 
-    grads = [None] * len(layers)
+    flat = np.empty_like(params.theta)
     upstream = d_head
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        x_in = acts[i]
-        gw = x_in.T @ upstream
-        gb = upstream.sum(axis=0)
-        grads[i] = (gw, gb)
+    for i, (gw, gb) in reversed(list(enumerate(_unpack(flat, cfg)))):
+        np.matmul(acts[i].T, upstream, out=gw)
+        np.add.reduce(upstream, axis=0, out=gb)
         if i > 0:
-            upstream = (upstream @ w.T) * (1.0 - acts[i] ** 2)
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            upstream = (upstream @ layers[i][0].T) * (1.0 - acts[i] ** 2)
     return loss, flat
 
 
@@ -663,6 +674,7 @@ def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
 
     m = np.zeros_like(params.theta)
     v = np.zeros_like(params.theta)
+    scratch = np.empty_like(params.theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
 
@@ -681,11 +693,22 @@ def train(dataset: "Dataset", config: ModelConfig) -> ModelParams:
             loss, g = _nll_value_grad(params, feats, masses[idx])
             epoch_losses.append(loss)
             t += 1
-            m = beta1 * m + (1 - beta1) * g
-            v = beta2 * v + (1 - beta2) * g * g
-            m_hat = m / (1 - beta1 ** t)
-            v_hat = v / (1 - beta2 ** t)
-            params.theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            # Adam in place, each operation as written out in full:
+            # m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g g,
+            # theta -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+            np.multiply(beta1, m, out=m)
+            m += np.multiply(1 - beta1, g, out=scratch)
+            np.multiply(1 - beta2, g, out=scratch)
+            scratch *= g
+            np.multiply(beta2, v, out=v)
+            v += scratch
+            np.divide(m, 1 - beta1 ** t, out=g)                  # g becomes the step
+            np.multiply(config.learning_rate, g, out=g)
+            np.divide(v, 1 - beta2 ** t, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += eps
+            g /= scratch
+            params.theta -= g
         eval_nll = _nll_from_features(params, eval_feats, eval_masses)
         log.append({"epoch": epoch,
                     "train_nll": float(np.mean(epoch_losses)),

@@ -590,9 +590,6 @@ def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
     if (ix.min() < 0 or iy.min() < 0 or ix.max() + sx > units.shape[0]
             or iy.max() + sy > units.shape[1]):
         raise ValueError("windows must lie inside the grid")
-    p = sx * sy
-    k_lo = (p + 1) // 2 - 1
-    k_hi = p // 2
     x0 = ix.min()
     off = ix - x0
     g = math.gcd(sx, *off.tolist())
@@ -629,10 +626,19 @@ def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
         rows = np.flatnonzero(iy == y0 + y_lo)
         # counts of values <= lo + v inside each window of the band
         below = np.cumsum(member[rows] @ hist.reshape(n_strips, span), axis=1)
-        v_lo = np.count_nonzero(below <= k_lo, axis=1)
-        v_hi = np.count_nonzero(below <= k_hi, axis=1)
-        out[rows] = (v_lo + v_hi) / 2.0 + lo
+        out[rows] = _median_of_cumulative(below, sx * sy, lo)
     return out
+
+
+def _median_of_cumulative(below, p, lo):
+    """The median of p integers from their cumulative counts: ``below[...,
+    v]`` counts the values <= lo + v. The rank-k value (0-based) is lo plus
+    the number of v whose count is <= k; the median is the mean of ranks
+    (p + 1) // 2 - 1 and p // 2, a whole or half unit, as ``np.median``
+    takes it. The rank rule of both median functions."""
+    v_lo = (below <= (p + 1) // 2 - 1).sum(axis=-1)
+    v_hi = (below <= p // 2).sum(axis=-1)
+    return (v_lo + v_hi) / 2.0 + lo
 
 
 def patch_window(heap: HeapState, x: int, y: int):
@@ -657,9 +663,19 @@ def height_units(heights, out=None) -> np.ndarray:
 
 
 def local_median_height(heap: HeapState, x: int, y: int) -> float:
-    """Median surface height (mm) of the observation window around (x, y)."""
+    """Median surface height (mm) of the observation window around (x, y),
+    exact: ``np.median`` of the window's 0.1 mm units, over 10. The units
+    less their minimum go into a kept working array (``_kept``) and are
+    counted by one ``bincount``, whose cumulative counts give the two
+    middle ranks."""
     win = patch_window(heap, x, y)
-    return float(batch_unit_medians(height_units(win), [0], [0], win.shape)[0]) / 10.0
+    tenths = np.multiply(win, 10.0, out=_kept("median.tenths", win.shape))
+    units = _kept("median.units", win.shape, np.intp)
+    np.add(tenths, 0.5, out=units, casting="unsafe")   # height_units' int64 cast
+    lo = int(units.min())
+    units -= lo
+    below = np.cumsum(np.bincount(units.ravel()))
+    return float(_median_of_cumulative(below, win.size, lo)) / 10.0
 
 
 def observe_patch(heap: HeapState, x: int, y: int) -> PatchObservation:

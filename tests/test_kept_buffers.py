@@ -36,6 +36,16 @@ def heaps():
     return cfg, sim.init_heap(cfg, seed=11), sim.init_heap(cfg, seed=12)
 
 
+def test_a_warm_local_median_allocates_no_window(heaps):
+    # the counts and their cumulative sums, one int64 per 0.1 mm of the
+    # window's height range, stay well below one window's 204,800 bytes
+    _, heap, _ = heaps
+    first = sim.local_median_height(heap, 200, 150)
+    peak, second = traced_peak(lambda: sim.local_median_height(heap, 200, 150))
+    assert peak < sim.PATCH_SIDE ** 2 * 8
+    assert second == first
+
+
 def test_a_second_total_mass_allocates_no_grid(heaps):
     _, heap, _ = heaps
     first = sim.total_mass(heap)

@@ -132,20 +132,53 @@ def test_nll_empty_batch():
         mdn.nll_grad(params, [])
 
 
+# depths from 1 to 4 cm on the 0.005 cm grid whose 200 z is whole in float64
+GRID_DEPTHS_CM = [j / 200 for j in range(200, 800) if j / 200 * 200 == j]
+
+
 @pytest.mark.parametrize("cfg", [ModelConfig(), tiny_config(), ModelConfig(feature_downsample=20),
                                  ModelConfig(feature_downsample=160)])
 @pytest.mark.parametrize("side, size", [(160, 1), (160, 10), (160, 37), (150, 10)])
 def test_batch_features_equal_per_observation(cfg, side, size):
     # the loss featurises a batch in one call; each row must be the bits the
-    # single-observation path (inference, mdn_forward) gives
+    # single-observation path (inference, mdn_forward) gives. Depths lie on
+    # the 0.005 cm grid, so every sum is whole and has one value
     rng = np.random.default_rng(size)
-    batch = [(PatchObservation(rng.normal(0, 5, (side, side)), float(rng.uniform(1, 4))),
+    batch = [(PatchObservation(rng.normal(0, 5, (side, side)), float(rng.choice(GRID_DEPTHS_CM))),
               float(rng.uniform(0, 40))) for _ in range(size)]
     feats, masses = mdn._batch_features_masses(mdn.init_params(cfg), batch)
     single = np.vstack([mdn.features_from_rows([obs.heights], [obs.insertion_depth], cfg)
                         for obs, _ in batch])
     assert np.array_equal(feats, single)
     assert np.array_equal(masses, [m for _, m in batch])
+    if side == 160 and cfg.pooled_side in (2, 4):
+        assert np.array_equal(feats, reshape_features([obs for obs, _ in batch], cfg))
+
+
+def reshape_features(observations, cfg):
+    """Features of 160-side patches from sums taken apart from ``mdn``'s
+    loop: int64 units rint(20 h), block sums by reshape and the sum of
+    max(units + 200 z, 0) over the 40 x 24 cells at the centre, divided by
+    ``mdn._features``."""
+    p = cfg.pooled_side
+    b = 160 // p
+    blocks, captures, depths = [], [], []
+    for obs in observations:
+        units = np.rint(obs.heights * 20).astype(np.int64)
+        lift = obs.insertion_depth * 200
+        assert lift.is_integer()
+        blocks.append(units.reshape(p, b, p, b).sum(axis=(1, 3)).ravel())
+        captures.append(np.maximum(units[60:100, 68:92] + int(lift), 0).sum())
+        depths.append(obs.insertion_depth)
+    return mdn._features(np.array(blocks), np.full(p * p, float(b * b)), np.array(captures),
+                         np.array(depths))
+
+
+@pytest.mark.parametrize("n_depths", [1, 4])
+def test_features_need_one_depth_per_patch(n_depths):
+    patches = np.zeros((3, 160, 160))
+    with pytest.raises(ValueError, match=f"got 3 patches and {n_depths} depths"):
+        mdn.features_from_rows(patches, [2.0] * n_depths, ModelConfig())
 
 
 def test_features_of_mixed_sides_name_the_bad_shape():
@@ -188,9 +221,11 @@ def finite_difference(params, batch):
     return g
 
 
-def test_grad_matches_central_differences():
+@pytest.mark.parametrize("hidden", [(), (8,), (8, 6)], ids=["h0", "h8", "h8-6"])
+def test_grad_matches_central_differences(hidden):
+    # two hidden layers check the flat layout of every layer's gradient
     rng = np.random.default_rng(7)
-    cfg = tiny_config(seed=8)
+    cfg = tiny_config(seed=8, hidden_sizes=hidden)
     params = mdn.init_params(cfg)
     params.theta += rng.normal(0, 0.3, params.theta.shape)
     batch = [(random_obs(rng), float(rng.uniform(0, 40))) for _ in range(10)]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -408,6 +409,55 @@ def test_window_medians_reject_windows_outside_grid():
     with pytest.raises(ValueError):
         sim.batch_unit_medians(units, [0], [0], (0, 10))
     assert sim.batch_unit_medians(units, [], [], (16, 10)).shape == (0,)
+
+
+@functools.lru_cache(maxsize=None)
+def median_heap(kind, seed):
+    """A seeded default heap, a constant heap, a constant heap with one
+    raised column, or grid heights drawn uniformly from 0 to 150 mm, whose
+    two middle ranks mostly differ; callers must not change it."""
+    if kind == "seeded":
+        return sim.init_heap(sim.SimConfig(), seed=seed)
+    heap = sim.init_heap(flat_config(fill=40.0 + seed), seed=seed)
+    if kind == "noise":
+        heap.heights[...] = np.random.default_rng(seed).integers(0, 1501, heap.heights.shape) / 10
+    if kind == "spike":
+        w, d, _ = heap.tray_mm
+        i, j = (37 * seed) % w, (53 * seed) % d
+        heap.heights[i, j] = sim.quantize_height(heap.heights[i, j] + 72.3)
+    return heap
+
+
+def numpy_local_median(heap, x, y):
+    """np.median of the window's 0.1 mm units, over 10: the window is the
+    PATCH_SIDE square around (x, y), clipped to the tray."""
+    w, d, _ = heap.tray_mm
+    win = heap.heights[max(0, x - 80):min(w, x + 80), max(0, y - 80):min(d, y + 80)]
+    return float(np.median(sim.height_units(win))) / 10.0
+
+
+@given(kind=st.sampled_from(["seeded", "constant", "spike", "noise"]), seed=st.integers(0, 3),
+       fx=st.floats(0, 1, exclude_max=True), fy=st.floats(0, 1, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_local_median_matches_numpy(kind, seed, fx, fy):
+    heap = median_heap(kind, seed)
+    w, d, _ = heap.tray_mm
+    x, y = int(fx * w), int(fy * d)
+    assert sim.local_median_height(heap, x, y) == numpy_local_median(heap, x, y)
+
+
+@pytest.mark.parametrize("kind", ["seeded", "constant", "spike", "noise"])
+def test_local_median_near_the_tray_edges(kind):
+    """Points within 80 px of an edge, where the clipped window has an odd
+    or an even number of cells along each axis (a centre at 0 keeps 80 of a
+    side, at 3 keeps 83, at w - 2 keeps 82)."""
+    heap = median_heap(kind, 1)
+    w, d, _ = heap.tray_mm
+    xs = [0, 1, 3, 4, 79, 80, w - 81, w - 80, w - 3, w - 2, w - 1]
+    ys = [0, 2, 5, 79, 80, 150, d - 80, d - 5, d - 2, d - 1]
+    for x in xs:
+        for y in ys:
+            assert sim.local_median_height(heap, x, y) == numpy_local_median(heap, x, y), (x, y)
 
 
 # ---------------------------------------------------------------- execute_grasp

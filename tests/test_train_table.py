@@ -131,6 +131,69 @@ def test_default_checkpoint_matches_reference(collected_dataset, trained_model, 
     assert trained_model.training_log == log
 
 
+def reference_log_mix(pi, mu, sigma, masses):
+    """``mdn._log_mix`` as first written, kept verbatim."""
+    z = (masses[:, None] - mu) / sigma
+    log_comp = -0.5 * z ** 2 - np.log(sigma) - 0.5 * mdn.LOG_2PI
+    a = np.log(pi + 1e-300) + log_comp
+    a_max = a.max(axis=1, keepdims=True)
+    return (a_max + np.log(np.exp(a - a_max).sum(axis=1, keepdims=True))).ravel(), a
+
+
+def reference_nll_value_grad(params, feats, masses):
+    """``mdn._nll_value_grad`` as first written, kept verbatim: every
+    intermediate in its own array, the head gradient stacked and the flat
+    gradient concatenated."""
+    cfg = params.config
+    pi, mu, sigma, (layers, acts, sraw) = mdn._forward_batch(params, feats, want_cache=True)
+    n = feats.shape[0]
+    log_lik, a = reference_log_mix(pi, mu, sigma, masses)
+    loss = float(-log_lik.mean())
+
+    r = np.exp(a - a.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)          # responsibilities
+    diff = masses[:, None] - mu
+    d_logits = (pi - r) / n
+    d_mu = -r * diff / sigma ** 2 / n
+    if cfg.fixed_sigma is not None:
+        d_sraw = np.zeros_like(d_mu)
+    else:
+        d_sigma = -r * (diff ** 2 / sigma ** 3 - 1.0 / sigma) / n
+        d_sraw = d_sigma / (1.0 + np.exp(-sraw))  # softplus' = sigmoid
+    d_head = np.hstack([d_logits, d_mu, d_sraw])
+
+    grads = [None] * len(layers)
+    upstream = d_head
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        x_in = acts[i]
+        gw = x_in.T @ upstream
+        gb = upstream.sum(axis=0)
+        grads[i] = (gw, gb)
+        if i > 0:
+            upstream = (upstream @ w.T) * (1.0 - acts[i] ** 2)
+    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    return loss, flat
+
+
+@pytest.mark.parametrize("batch", [1, 7, 16])
+@pytest.mark.parametrize("fixed_sigma", [None, 1.5])
+@pytest.mark.parametrize("hidden", [(), (8,), (8, 6)], ids=["h0", "h8", "h8-6"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_loss_and_gradient_match_the_reference_bit_for_bit(K, hidden, fixed_sigma, batch):
+    cfg = ModelConfig(K=K, hidden_sizes=hidden, fixed_sigma=fixed_sigma, seed=K)
+    rng = np.random.default_rng([K, len(hidden), batch, fixed_sigma is None])
+    params = mdn.init_params(cfg)
+    params.theta += rng.normal(0, 0.3, params.theta.shape)
+    feats = rng.normal(0, 1, (batch, cfg.n_features))
+    masses = rng.uniform(0, 40, batch)
+    loss, grad = mdn._nll_value_grad(params, feats, masses)
+    ref_loss, ref_grad = reference_nll_value_grad(params, feats, masses)
+    assert loss == ref_loss
+    assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+    assert mdn._nll_from_features(params, feats, masses) == ref_loss
+
+
 def test_collected_patches_lie_on_the_feature_grid(collected_dataset):
     """Every patch is stored as int16 units of 0.05 mm, and reading it back
     as heights, units / 20 mm, gives the features of the units bit for bit."""
