@@ -73,9 +73,7 @@ def main():
         print("%s (%.0fs):" % (name, time.perf_counter() - t0))
         cli.print_cells(r)
         cli.print_paired(r)
-        print("  counts:", r.counts)
-        for rr in r.regrasp:
-            print("  regrasp %-9s target %5.1f: %.0f%%" % (rr["arm"], rr["target_g"], rr["rate_pct"]))
+        cli.print_counts(r)
 
 
 if __name__ == "__main__":

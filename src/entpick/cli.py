@@ -237,6 +237,8 @@ def cmd_experiment(args) -> int:
             name, episodes=200 if args.episodes is None else args.episodes, seed=args.seed)
     if preset_obj.targets is not None and not args.model:
         raise UsageError(f"{name} needs a trained model checkpoint")
+    if preset_obj.targets is None and args.model:
+        raise UsageError(f"{name} reads no model checkpoint, got {args.model}")
     model = _load_model(args.model) if args.model else None
     if preset_obj.targets is not None:
         with _bad_input(f"model checkpoint {args.model}"):
@@ -248,6 +250,7 @@ def cmd_experiment(args) -> int:
     print(f"{name}: {len(report.cells)} cells -> {args.out}")
     print_cells(report)
     print_paired(report)
+    print_counts(report)
     return 0
 
 
@@ -271,6 +274,16 @@ def print_paired(report) -> None:
     if lines:
         i = min(range(len(lines)), key=lambda i: report.paired[i]["mean_pp"])
         print("smallest difference: " + lines[i])
+
+
+def print_counts(report) -> None:
+    """The episode counts of a study report on one line, then one line per
+    re-grasp row: arm, target, and the share of re-grasped episodes."""
+    c = report.counts
+    print(f"counts: {c['episodes']} episodes, {c['infeasible']} infeasible, "
+          f"{c['failed_to_grasp']} failed to grasp")
+    for r in report.regrasp:
+        print(f"  regrasp {r['arm']:<14} target {r['target_g']:6.1f}: {r['rate_pct']:5.1f}%")
 
 
 # ---------------------------------------------------------------------------

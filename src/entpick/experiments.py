@@ -1,23 +1,24 @@
-"""Study presets, the study runner and bootstrap evaluation.
+"""The study table, the study runner and bootstrap evaluation.
 
-A study is arms x cells. A preset lists its arms as (label, episode
-kwargs) rows; its cells are percentile targets (nearest-rank percentiles of
-the model's training masses, which the training log carries), or fixed
-drops when it has no targets. ``run_experiment`` runs the preset's episodes
-as paired trials (common random numbers): episode i of every arm x cell
-starts from a copy of the same heap with the same ops seed. It runs each
-index i through the study's index function in ``STUDIES`` (``_run_index``
-over an episode function, or ``_random_grasp_index``, which grasps once per
-pre-grasp flag for every arm x drop) and reports per band a bootstrap
-mean +- std rate of the study's success predicate, and the paired
-difference of each later arm against the first:
+Each study is one row of ``STUDIES``: its arms as (label, episode kwargs)
+rows, its cells (percentile targets, nearest-rank percentiles of the
+training masses that the model's training log carries, or fixed drops when
+it has no targets), its bands, index function, metric and success rule.
+``run_experiment`` runs a preset's arm x cells as paired trials (common
+random numbers): episode i of every arm x cell starts from a copy of the
+same heap with the same ops seed. The index function (``_run_index`` over
+an episode function, or ``_random_grasp_index``, which grasps once per
+pre-grasp flag) returns one record per arm x cell of index i, each with a
+``status`` in ``STATUSES``. The runner counts the statuses, judges success
+on placed records only, and reports per band a bootstrap mean +- std rate
+and the paired difference of each later arm against the first:
 
   TABLE1    selection margin alpha 0 vs 1, a single pick; success = grasped
             mass above target - 2 g, at the 10th/50th/70th percentiles.
   TABLE2    pre-grasp on/off before random grasps, then a fixed drop
             (3/4/5/10/15 g) discarded by spined post-grasping; success =
             final within +-2 g of (grasped - drop). Loads under drop + 5 g
-            are re-grasped.
+            are re-grasped, 30 attempts at most.
   TABLE3    spines on/off for a 10 g drop after loosened random grasps,
             bands +-2..5 g.
   TABLE4    the full pipeline (alpha 1, pre-grasp, spined post-grasp)
@@ -54,58 +55,12 @@ from .sim import (ScaleState, SimConfig, Z_POOL_DEEP, apply_pregrasp,
 # never an assertion target.
 REFERENCE_TARGETS_G = {"imitation_cabbage": (22.0, 46.0, 56.0)}
 
+STATUSES = ("placed", "infeasible", "failed_to_grasp")   # of every episode record
 REGRASP_MARGIN_G = 5.0     # random grasps under drop + margin are re-grasped
 BOOTSTRAP_B = 2000
-
-
-@dataclass
-class ExperimentPreset:
-    name: str
-    arms: tuple                            # (label, episode kwargs); the first is the reference
-    targets: tuple | None = (10, 50, 70)   # percentiles of training masses
-    episodes: int = 200
-    bands: tuple = (2.0, 3.0, 4.0)
-    seed: int = 20240601
-    drops_g: tuple | None = None           # the cells when targets is None
-
-    def __post_init__(self):
-        if self.episodes < 30:
-            raise ValueError("need at least 30 episodes per cell")
-        if self.targets is not None and any(not 0 < p < 100 for p in self.targets):
-            raise ValueError("percentiles must lie in (0, 100)")
-        if self.targets is None and not self.drops_g:
-            raise ValueError("a preset without percentile targets needs drops_g")
-
-
-def _switch(flag: str, **fixed) -> tuple:
-    """Off/on arms of one random-grasp episode flag."""
-    return tuple((f"{flag}={'on' if v else 'off'}", {**fixed, flag: v}) for v in (False, True))
-
-
-_PRESETS = {
-    "TABLE1": dict(arms=tuple((f"alpha={a:g}", {"alpha": a}) for a in (0.0, 1.0)), bands=()),
-    "TABLE2": dict(arms=_switch("pregrasp", spines=True), targets=None, bands=(2.0,),
-                   drops_g=(3.0, 4.0, 5.0, 10.0, 15.0)),
-    "TABLE3": dict(arms=_switch("spines", pregrasp=True), targets=None,
-                   bands=(2.0, 3.0, 4.0, 5.0), drops_g=(10.0,)),
-    # the inference episode always pre-grasps and always uses the spines
-    "TABLE4": dict(arms=(("baseline", {"alpha": 0.0, "use_postgrasp": False}),
-                         ("ours", {"alpha": 1.0}))),
-}
-PRESET_NAMES = tuple(_PRESETS)
-
-
-def preset(name: str, episodes: int = 200, seed: int = 20240601,
-           drops_g: tuple | None = None) -> ExperimentPreset:
-    """A shipped study preset by name; `drops_g` replaces the drops of the
-    drop-based presets."""
-    name = name.upper()
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    fields = dict(_PRESETS[name])
-    if drops_g and fields.get("drops_g"):
-        fields["drops_g"] = drops_g
-    return ExperimentPreset(name, episodes=episodes, seed=seed, **fields)
+MODE_WINDOW_BINS = 3            # count_modes' moving-average window
+MODE_MIN_HEIGHT_FRAC = 0.15     # its least peak height and prominence,
+MODE_MIN_PROMINENCE_FRAC = 0.12  # as fractions of the smoothed maximum
 
 
 @dataclass
@@ -188,22 +143,19 @@ def mass_histogram(dataset: mdn.Dataset, bin_width: float, split=None) -> Histog
                                  for i, c in enumerate(counts)])
 
 
-def count_modes(hist: Histogram, window: int = 3, min_height_frac: float = 0.15,
-                min_prominence_frac: float = 0.12) -> int:
-    """Modes of the smoothed histogram: peaks of the window-bin moving
-    average with both height and topographic prominence above fractions of
-    the smoothed maximum, so Poisson zigzag in adjacent bins does not
-    count as structure."""
+def count_modes(hist: Histogram) -> int:
+    """Modes of the smoothed histogram: peaks of the MODE_WINDOW_BINS-bin
+    moving average with both height and topographic prominence above
+    fractions of the smoothed maximum, so Poisson zigzag in adjacent bins
+    does not count as structure."""
     from scipy.signal import find_peaks
-    counts = np.asarray(hist.counts(), dtype=float)
-    padded = np.concatenate([[0.0], counts, [0.0]])
-    kernel = np.ones(window) / window
-    s = np.convolve(padded, kernel, mode="same")
+    padded = np.concatenate([[0.0], np.asarray(hist.counts(), dtype=float), [0.0]])
+    s = np.convolve(padded, np.ones(MODE_WINDOW_BINS) / MODE_WINDOW_BINS, mode="same")
     top = s.max()
     if top <= 0:
         return 0
-    peaks, _ = find_peaks(s, height=min_height_frac * top,
-                          prominence=min_prominence_frac * top)
+    peaks, _ = find_peaks(s, height=MODE_MIN_HEIGHT_FRAC * top,
+                          prominence=MODE_MIN_PROMINENCE_FRAC * top)
     return int(len(peaks))
 
 
@@ -231,7 +183,7 @@ def _table1_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice):
     rng = np.random.default_rng(rng_seed)
     sel = pick_grasp(lattice, SelectionConfig(target_mass_g=target, alpha=alpha))
     if sel is None:
-        return {"status": "infeasible", "grasped": 0.0, "imbalance": 0.0}
+        return {"status": "infeasible", "imbalance": 0.0}
     before = total_mass(heap)
     apply_pregrasp(heap, sel.x, sel.y, sel.z_cm, rng, sim_cfg)
     outcome = execute_grasp(heap, sel.x, sel.y, sel.z_cm, rng, sim_cfg)
@@ -303,14 +255,14 @@ def _random_grasp_index(sim_config, model, arms, values, heap_seed, ops_seed):
                 for a in group:
                     err = _postgrasp_error(outcome, values[j], arms[a]["spines"],
                                            copy.deepcopy(rng), sim_config)
-                    results[a, j] = {"ok": True, "retries": retries, "err": err,
+                    results[a, j] = {"status": "placed", "retries": retries, "err": err,
                                      "imbalance": imbalance}
             if not pending:
                 break
             release_mass(grasp_heap, x, y, outcome.grasped_mass, sim_config)
         for j in pending:
             for a in group:
-                results[a, j] = {"ok": False, "retries": 30, "imbalance": 0.0}
+                results[a, j] = {"status": "failed_to_grasp", "retries": 30, "imbalance": 0.0}
     return [results[a, j] for a in range(len(arms)) for j in range(len(values))]
 
 
@@ -333,25 +285,74 @@ def _episode_seeds(root_seed: int, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 class Study(NamedTuple):
+    arms: tuple                # (label, episode kwargs); the first is the reference
+    targets: tuple | None      # percentiles of training masses, or None for drops
+    bands: tuple
+    drops_g: tuple | None      # the cells when targets is None
     index: Callable            # every arm x cell of one episode index
     metric: str
-    success: Callable          # (episode result, cell value, band) -> bool
+    success: Callable          # (placed record, cell value, band) -> bool
     regrasp: bool              # report the share of re-grasped episodes per cell
 
 
-_RANDOM_GRASP = Study(_random_grasp_index, "final_within_band_of_drop_target",
-                      lambda r, drop, band: r["ok"] and r["err"] <= band, True)
+def _random_grasp_study(flag: str, bands: tuple, drops_g: tuple, **fixed) -> Study:
+    """A random-grasp study of one episode flag off and on, the others fixed."""
+    arms = tuple((f"{flag}={'on' if v else 'off'}", {**fixed, flag: v}) for v in (False, True))
+    return Study(arms, None, bands, drops_g, _random_grasp_index,
+                 "final_within_band_of_drop_target",
+                 lambda r, drop, band: r["err"] <= band, True)
+
+
 STUDIES = {
-    "TABLE1": Study(partial(_run_index, _table1_episode),
+    "TABLE1": Study(tuple((f"alpha={a:g}", {"alpha": a}) for a in (0.0, 1.0)),
+                    (10, 50, 70), (), None, partial(_run_index, _table1_episode),
                     "grasped_above_target_minus_2g",
-                    lambda r, target, band: r["status"] == "placed"
-                    and r["grasped"] > target - 2.0, False),
-    "TABLE2": _RANDOM_GRASP,
-    "TABLE3": _RANDOM_GRASP,
-    "TABLE4": Study(partial(_run_index, _selection_episode), "final_within_band",
-                    lambda r, target, band: r["status"] == "placed"
-                    and abs(r["final"] - target) <= band, True),
+                    lambda r, target, band: r["grasped"] > target - 2.0, False),
+    "TABLE2": _random_grasp_study("pregrasp", (2.0,), (3.0, 4.0, 5.0, 10.0, 15.0), spines=True),
+    "TABLE3": _random_grasp_study("spines", (2.0, 3.0, 4.0, 5.0), (10.0,), pregrasp=True),
+    # the inference episode always pre-grasps and always uses the spines
+    "TABLE4": Study((("baseline", {"alpha": 0.0, "use_postgrasp": False}),
+                     ("ours", {"alpha": 1.0})),
+                    (10, 50, 70), (2.0, 3.0, 4.0), None, partial(_run_index, _selection_episode),
+                    "final_within_band",
+                    lambda r, target, band: abs(r["final"] - target) <= band, True),
 }
+PRESET_NAMES = tuple(STUDIES)
+
+
+def _study(name: str) -> Study:
+    if name.upper() not in STUDIES:
+        raise ValueError(f"unknown preset {name.upper()!r}; available: {', '.join(STUDIES)}")
+    return STUDIES[name.upper()]
+
+
+@dataclass
+class ExperimentPreset:
+    name: str                              # a study of STUDIES
+    arms: tuple                            # (label, episode kwargs); the first is the reference
+    targets: tuple | None = (10, 50, 70)   # percentiles of training masses
+    episodes: int = 200
+    bands: tuple = (2.0, 3.0, 4.0)
+    seed: int = 20240601
+    drops_g: tuple | None = None           # the cells when targets is None
+
+    def __post_init__(self):
+        _study(self.name)
+        if self.episodes < 30:
+            raise ValueError("need at least 30 episodes per cell")
+        if self.targets is not None and any(not 0 < p < 100 for p in self.targets):
+            raise ValueError("percentiles must lie in (0, 100)")
+        if self.targets is None and not self.drops_g:
+            raise ValueError("a preset without percentile targets needs drops_g")
+
+
+def preset(name: str, episodes: int = 200, seed: int = 20240601,
+           drops_g: tuple | None = None) -> ExperimentPreset:
+    """The preset of a study of ``STUDIES`` by name; `drops_g` replaces the
+    drops of the drop-based studies."""
+    study = _study(name)
+    return ExperimentPreset(name.upper(), study.arms, study.targets, episodes, study.bands, seed,
+                            drops_g if drops_g and study.drops_g else study.drops_g)
 
 
 def _targets_from_model(model: mdn.ModelParams, percentiles) -> list:
@@ -372,9 +373,7 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
     preset's drops when it has no targets. Episode indices are the unit of
     work, and of the `workers` map."""
     name = preset_obj.name.upper()
-    study = STUDIES.get(name)
-    if study is None:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    study = STUDIES[name]
     percentiles = preset_obj.targets
     if percentiles is None:
         cell_values = [(drop, drop) for drop in preset_obj.drops_g]
@@ -390,7 +389,7 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
     columns = iter(zip(*_map_episodes(index, seeds, workers)))
 
     cells, paired, regrasp, imbalances = [], [], [], []
-    counts = {"episodes": 0, "infeasible": 0, "failed_to_grasp": 0}
+    counts = {"episodes": 0, **dict.fromkeys(STATUSES[1:], 0)}
     boot_seed = preset_obj.seed + 104729
     bands = preset_obj.bands or (None,)
     wins = {}
@@ -399,7 +398,8 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
             results = next(columns)
             for band in bands:
                 wins[label, part, band] = np.array(
-                    [1.0 if study.success(r, value, band) else 0.0 for r in results])
+                    [1.0 if r["status"] == "placed" and study.success(r, value, band) else 0.0
+                     for r in results])
                 mean, std = bootstrap(wins[label, part, band], BOOTSTRAP_B, boot_seed)
                 cells.append({"arm": label, "target_g": value,
                               **({} if percentiles is None else {"percentile": part}),
@@ -409,8 +409,8 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
                 rate = 100.0 * sum(1 for r in results if r["retries"] > 0) / len(results)
                 regrasp.append({"arm": label, "target_g": value, "rate_pct": rate})
             counts["episodes"] += len(results)
-            for status in ("infeasible", "failed_to_grasp"):
-                counts[status] += sum(1 for r in results if r.get("status") == status)
+            for status in STATUSES[1:]:
+                counts[status] += sum(1 for r in results if r["status"] == status)
             imbalances.extend(r["imbalance"] for r in results)
 
     # the arms share episode index i, so resampling per-index differences
@@ -458,9 +458,7 @@ def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: flo
                 if r["status"] == "placed" and r["final"] > target - 2.0) / len(results),
         },
         "counts": {
-            "placed": sum(1 for r in results if r["status"] == "placed"),
-            "infeasible": sum(1 for r in results if r["status"] == "infeasible"),
-            "failed_to_grasp": sum(1 for r in results if r["status"] == "failed_to_grasp"),
+            **{s: sum(1 for r in results if r["status"] == s) for s in STATUSES},
             "regrasped": sum(1 for r in results if r["retries"] > 0),
         },
         "ledger": {

@@ -570,6 +570,10 @@ def test_selection_config_accepts_a_zero_target():
     (("HISTOGRAM", "--n", 4, "--episodes", 200), "--episodes is not read by HISTOGRAM"),
     (("HISTOGRAM", "model.json", "--n", 4), "HISTOGRAM reads no model checkpoint"),
     (("HISTOGRAM", "--n", 4, "--workers", 2), "--workers 2: HISTOGRAM collects in one process"),
+    (("TABLE2", "model.json", "--episodes", 30),
+     "TABLE2 reads no model checkpoint, got model.json"),
+    (("TABLE3", "model.json", "--episodes", 30),
+     "TABLE3 reads no model checkpoint, got model.json"),
 ])
 def test_cli_experiment_bad_input_exit_2(workdir, argv, needle):
     out = workdir / "never_experiment.json"

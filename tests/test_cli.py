@@ -180,8 +180,15 @@ def test_experiment_prints_paired_rows_and_smallest(tmp_path, capsys):
     assert run_cli("experiment", "TABLE3", "--episodes", 30, "--seed", 6,
                    "--out", out) == 0
     lines = capsys.readouterr().out.splitlines()
-    paired = json.loads(out.read_text())["paired"]
+    report = json.loads(out.read_text())
+    paired = report["paired"]
     assert len(paired) == 4
+    # the counts line and one line per regrasp row follow the smallest difference
+    counts = report["counts"]
+    assert lines[-3] == (f"counts: {counts['episodes']} episodes, {counts['infeasible']} "
+                         f"infeasible, {counts['failed_to_grasp']} failed to grasp")
+    assert [line.split()[1] for line in lines[-2:]] == ["spines=off", "spines=on"]
+    lines = lines[:-3]
     printed = [line.strip() for line in lines[-1 - len(paired):-1]]
     for line, row in zip(printed, paired):
         head, diff = line.split(":  ")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entpick import experiments as ex
-from entpick import mdn, pipeline, select, sim
+from entpick import cli, mdn, pipeline, select, sim
 from entpick.experiments import REGRASP_MARGIN_G
 from entpick.sim import (ScaleState, Z_POOL_DEEP, apply_pregrasp, execute_grasp,
                          make_gripper_load, release_mass, total_mass)
@@ -126,18 +127,34 @@ def test_count_modes_bimodal_vs_unimodal():
 # ---------------------------------------------------------------- presets
 
 def test_preset_names_and_validation():
+    assert ex.PRESET_NAMES == tuple(ex.STUDIES)
     for name in ex.PRESET_NAMES:
         p = ex.preset(name, episodes=30)
         assert p.name == name
         assert p.episodes == 30
-    with pytest.raises(ValueError):
+        row = ex.STUDIES[name]
+        assert (p.arms, p.targets, p.bands, p.drops_g) == (row.arms, row.targets, row.bands,
+                                                           row.drops_g)
+    with pytest.raises(ValueError, match="TABLE9"):
         ex.preset("TABLE9")
-    with pytest.raises(ValueError):
-        ex.ExperimentPreset("X", {}, episodes=10)
-    with pytest.raises(ValueError):
-        ex.ExperimentPreset("X", {}, targets=(0, 50))
+    with pytest.raises(ValueError, match="at least 30 episodes"):
+        ex.ExperimentPreset("TABLE1", (), episodes=10)
+    with pytest.raises(ValueError, match="percentiles"):
+        ex.ExperimentPreset("TABLE1", (), targets=(0, 50))
     with pytest.raises(ValueError, match="drops_g"):
-        ex.ExperimentPreset("X", (), targets=None)
+        ex.ExperimentPreset("TABLE3", (), targets=None)
+
+
+def test_preset_of_an_unknown_study_is_rejected_when_built():
+    with pytest.raises(ValueError, match="unknown preset 'TABLE9'"):
+        ex.ExperimentPreset("TABLE9", ex.STUDIES["TABLE3"].arms, targets=None,
+                            episodes=30, drops_g=(10.0,))
+
+
+def test_drops_replace_only_the_drops_of_drop_based_studies():
+    assert ex.preset("TABLE2", episodes=30, drops_g=(7.0,)).drops_g == (7.0,)
+    assert ex.preset("TABLE3", episodes=30).drops_g == (10.0,)
+    assert ex.preset("TABLE4", episodes=30, drops_g=(7.0,)).drops_g is None
 
 
 def test_run_experiment_requires_model_for_selection_tables(sim_config):
@@ -197,6 +214,27 @@ def test_table1_single_pick_is_never_failed_to_grasp(sim_config, trained_model, 
         assert list(c) == ["arm", "target_g", "percentile", "band_g", "metric",
                            "mean_pct", "std_pct"]
         assert c["percentile"] == 50 and c["band_g"] is None
+
+
+def test_random_grasp_failures_are_counted(sim_config, monkeypatch, tmp_path, capsys):
+    # no random grasp on the default tray reaches 70 + 5 g in 30 attempts
+    report = ex.run_experiment(ex.preset("TABLE3", episodes=30, seed=5, drops_g=(70.0,)),
+                               sim_config)
+    assert report.counts == {"episodes": 60, "infeasible": 0, "failed_to_grasp": 60}
+    assert [c["mean_pct"] for c in report.cells] == [0.0] * 8
+    assert [r["rate_pct"] for r in report.regrasp] == [100.0, 100.0]
+
+    # the CLI reads the same row, and prints the counts after the paired rows
+    monkeypatch.setitem(ex.STUDIES, "TABLE3", ex.STUDIES["TABLE3"]._replace(drops_g=(70.0,)))
+    out = tmp_path / "t3_70g.json"
+    capsys.readouterr()
+    assert cli.main(["experiment", "TABLE3", "--episodes", "30", "--seed", "5",
+                     "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(out.read_text()) == json.loads(json.dumps(report.to_dict()))
+    assert lines[-3:] == ["counts: 60 episodes, 0 infeasible, 60 failed to grasp",
+                          "  regrasp spines=off     target   70.0: 100.0%",
+                          "  regrasp spines=on      target   70.0: 100.0%"]
 
 
 @pytest.mark.parametrize("name, kwargs", [("TABLE2", {"drops_g": (10.0,)}), ("TABLE3", {})])
@@ -416,12 +454,12 @@ def _random_grasp_episode(sim_cfg, model, heap, rng_seed, drop_g, pregrasp, spin
             break
         release_mass(heap, x, y, outcome.grasped_mass, sim_cfg)
     else:
-        return {"ok": False, "retries": 30, "imbalance": 0.0}
+        return {"status": "failed_to_grasp", "retries": 30, "imbalance": 0.0}
     target = outcome.grasped_mass - drop_g
     load = make_gripper_load(outcome, sim_cfg.postgrasp, spines)
     scale = ScaleState(params=sim_cfg.scale)
     final, _ = pipeline.run_postgrasp(load, target, scale, sim_cfg.postgrasp, rng)
-    return {"ok": True, "retries": retries, "err": abs(final - target),
+    return {"status": "placed", "retries": retries, "err": abs(final - target),
             "imbalance": before - total_mass(heap) - outcome.grasped_mass}
 
 
