@@ -24,6 +24,10 @@ The outputs:
     uniform(1, 4) cm depths, under the default ``ModelConfig`` and under
     ``feature_downsample`` 40. Lattice and off-grid patches go in as
     stacked arrays, which every version of ``features_from_rows`` takes;
+  - ``lattice.scores.alternating_trays``: the (mu, sigma) bits of lattice
+    scorings on the test model that alternate between a default heap and
+    a 170 x 160 heap, each grasped between its scorings, so that constants
+    kept for one tray shape can never serve the other unnoticed;
   - ``collect``/``train``: the dataset bytes of ``collect --n 200 --seed
     12345`` and the checkpoint bytes of ``train --seed 3`` on it;
   - ``inspect``: four selection reports on the test model, the last on a
@@ -109,6 +113,23 @@ def feature_outputs(dataset):
     emit("features.offgrid", b"".join(offgrid))
 
 
+def lattice_outputs(model):
+    cfg = sim.SimConfig()
+    heaps = (sim.init_heap(cfg, seed=5),
+             sim.init_heap(sim.SimConfig(tray_mm=(170, 160, 160)), seed=5))
+    rng = np.random.default_rng(6)
+    scores = []
+    for _ in range(4):
+        for heap in heaps:
+            _, mu, sigma = select._score_lattice(model, heap, cfg.clearance_mm)
+            scores += [mu.tobytes(), sigma.tobytes()]
+            w, d, _ = heap.tray_mm
+            x = int(rng.integers(sim.PATCH_MARGIN, w - sim.PATCH_MARGIN + 1))
+            y = int(rng.integers(sim.PATCH_MARGIN, d - sim.PATCH_MARGIN + 1))
+            sim.execute_grasp(heap, x, y, 2.0, rng, cfg)
+    emit("lattice.scores.alternating_trays", b"".join(scores))
+
+
 def cli_outputs(model, tmp):
     data, ckpt = tmp / "data.jsonl", tmp / "model.json"
     assert run_cli("collect", "--n", 200, "--seed", 12345, "--out", data)[0] == 0
@@ -182,6 +203,7 @@ def main():
     model = mdn.train(dataset, mdn.ModelConfig(seed=7))
     emit("model.theta", model.theta.tobytes())
     feature_outputs(dataset)
+    lattice_outputs(model)
     with tempfile.TemporaryDirectory() as tmp:
         cli_outputs(model, pathlib.Path(tmp))
     batch_outputs(sim_cfg, model)

@@ -160,16 +160,17 @@ def count_modes(hist: Histogram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# episodes: fn(sim_cfg, model, heap, rng_seed, cell value, lattice, **arm kwargs)
+# episodes: fn(sim_cfg, model, heap, rng_seed, cell value, lattice, before,
+#              **arm kwargs)
 # ---------------------------------------------------------------------------
 
-def _selection_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice, **episode_kw):
+def _selection_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice, before,
+                       **episode_kw):
     """One target-mass pick with retries (TABLE4 and `run_episode_batch`);
-    `lattice` is the scoring of `heap` for the first pick, `episode_kw` are
-    EpisodeConfig fields."""
+    `lattice` is the scoring of `heap` for the first pick, `before` its
+    total mass, `episode_kw` are EpisodeConfig fields."""
     rng = np.random.default_rng(rng_seed)
     cfg = EpisodeConfig.default(sim_cfg, **episode_kw)
-    before = total_mass(heap)
     r = pipeline.run_inference_episode(model, heap, target, alpha, cfg, rng, lattice)
     imbalance = before - total_mass(heap) - r.placed_g - r.discarded_g
     return {"status": r.status, "grasped": r.grasped_initial, "final": r.final_mass,
@@ -177,14 +178,13 @@ def _selection_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice, *
             "chosen": r.chosen, "predicted": r.predicted}
 
 
-def _table1_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice):
+def _table1_episode(sim_cfg, model, heap, rng_seed, target, alpha, lattice, before):
     """Selection study episode: single pick off the heap's scoring, no
     retry, success judged on the grasped mass itself."""
     rng = np.random.default_rng(rng_seed)
     sel = pick_grasp(lattice, SelectionConfig(target_mass_g=target, alpha=alpha))
     if sel is None:
         return {"status": "infeasible", "imbalance": 0.0}
-    before = total_mass(heap)
     apply_pregrasp(heap, sel.x, sel.y, sel.z_cm, rng, sim_cfg)
     outcome = execute_grasp(heap, sel.x, sel.y, sel.z_cm, rng, sim_cfg)
     imbalance = before - total_mass(heap) - outcome.grasped_mass
@@ -201,13 +201,15 @@ def _run_index(episode, sim_config, model, arms, values, heap_seed, ops_seed):
     each arm x cell on a fresh heap with a fresh generator on the same ops
     seed. Every arm x cell but the last gets a copy; the last takes the
     built heap itself, which nothing reads after it. The fresh heap is
-    scored once, and each episode gets that ``lattice``, since scoring
-    reads neither the target nor alpha."""
+    scored and weighed once, and each episode gets that ``lattice`` and
+    total mass ``before``: scoring reads neither the target nor alpha, and
+    every copy is bitwise the built heap."""
     heap = init_heap(sim_config, heap_seed)
     lattice = _score_lattice(model, heap, sim_config.clearance_mm)
+    before = total_mass(heap)
     jobs = [(kw, value) for kw in arms for value in values]
     return [episode(sim_config, model, heap if i == len(jobs) - 1 else heap.copy(), ops_seed,
-                    value, lattice=lattice, **kw)
+                    value, lattice=lattice, before=before, **kw)
             for i, (kw, value) in enumerate(jobs)]
 
 
@@ -232,14 +234,15 @@ def _random_grasp_index(sim_config, model, arms, values, heap_seed, ops_seed):
     that it meets, and each arm of that drop post-grasps on its own copy of
     the generator; the drops still pending release the load and grasp
     again. The results equal one fresh heap and generator per arm x drop,
-    bit for bit."""
+    bit for bit. The built heap is weighed once for every sequence's
+    ledger, since each copy is bitwise the built heap."""
     heap = init_heap(sim_config, heap_seed)
+    before = total_mass(heap)
     flags = list(dict.fromkeys(kw["pregrasp"] for kw in arms))
     results = {}
     for f, pregrasp in enumerate(flags):
         grasp_heap = heap if f == len(flags) - 1 else heap.copy()
         rng = np.random.default_rng(ops_seed)
-        before = total_mass(grasp_heap)
         group = [a for a, kw in enumerate(arms) if kw["pregrasp"] == pregrasp]
         pending = list(range(len(values)))
         for retries in range(30):
@@ -337,13 +340,29 @@ class ExperimentPreset:
     drops_g: tuple | None = None           # the cells when targets is None
 
     def __post_init__(self):
-        _study(self.name)
+        study = _study(self.name)
         if self.episodes < 30:
             raise ValueError("need at least 30 episodes per cell")
         if self.targets is not None and any(not 0 < p < 100 for p in self.targets):
             raise ValueError("percentiles must lie in (0, 100)")
         if self.targets is None and not self.drops_g:
             raise ValueError("a preset without percentile targets needs drops_g")
+        # an arm sets every keyword that each of the study's own arms sets,
+        # and none that none of them sets
+        names = [set(kw) for _, kw in study.arms]
+        required, allowed = set.intersection(*names), set.union(*names)
+        if not self.arms:
+            raise ValueError(f"ExperimentPreset.arms: {self.name.upper()} needs at least one arm")
+        for label, kw in self.arms:
+            if not required <= set(kw) <= allowed:
+                raise ValueError(
+                    f"ExperimentPreset.arms: arm {label!r} of {self.name.upper()} must set "
+                    f"{sorted(required)} and may set only {sorted(allowed)}, got {sorted(kw)}")
+        # the success rule reads a band exactly when the study's own row has bands
+        if bool(self.bands) != bool(study.bands):
+            need = "needs at least one band" if study.bands else "takes no bands"
+            raise ValueError(f"ExperimentPreset.bands: {self.name.upper()} {need}, "
+                             f"got {self.bands!r}")
 
 
 def preset(name: str, episodes: int = 200, seed: int = 20240601,

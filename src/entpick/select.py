@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import mdn
-from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP, _kept,
+from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP, _kept, _per_tray,
                   batch_unit_medians, check_number, clears_floor, height_units,
                   local_median_height, observe_patch)
 
@@ -128,9 +128,63 @@ def _capture_sums(units, cx, cy, shape, tips):
     return sums
 
 
-def _lattice_features(config, heap, xy_points, z_list):
+class _Lattice(NamedTuple):
+    """What scoring an xy lattice x depth list reads besides the heights,
+    all fixed by the grid's shape, the points, the depths and the pooled
+    side. Read-only: the selection lattice of a tray is shared by every pick
+    on it (``_tray_lattice``)."""
+    candidates: tuple     # (x, y, z), row-major in xy, then z
+    pooled_side: int
+    depths: np.ndarray    # z (cm)
+    depth_units: np.ndarray   # 200 z: each depth in 0.05 mm units, int64
+    ix: np.ndarray        # origin of each point's observation window
+    iy: np.ndarray
+    x_of: np.ndarray      # each point's row block of `rows`
+    y_of: np.ndarray      # and column block of `cols`
+    rows: np.ndarray      # 0/1 spans of the pooling blocks of every distinct ix
+    cols: np.ndarray      # and every distinct iy
+    areas: np.ndarray     # of the pooling blocks, row-major
+    cx: np.ndarray        # origin of each point's capture footprint
+    cy: np.ndarray
+
+
+def _lattice(grid_shape, xy_points, z_list, pooled_side) -> _Lattice:
+    """The ``_Lattice`` of (x, y) points and depths (cm) on a grid of
+    ``grid_shape`` under a model of ``pooled_side``."""
+    m = PATCH_MARGIN
+    side = 2 * m
+    ix = np.array([x - m for x, _ in xy_points], dtype=int)
+    iy = np.array([y - m for _, y in xy_points], dtype=int)
+    lo, hi, areas = mdn._pool_spans(side, pooled_side)
+    xs, x_of = np.unique(ix, return_inverse=True)
+    ys, y_of = np.unique(iy, return_inverse=True)
+    depths = np.asarray(z_list, dtype=float)
+    (r0, _), (c0, _) = mdn._capture_spans(side)
+    lattice = _Lattice(
+        tuple((x, y, z) for x, y in xy_points for z in z_list), pooled_side, depths,
+        np.rint(depths * mdn.DEPTH_UNITS_PER_CM).astype(np.int64), ix, iy, x_of, y_of,
+        mdn._span_matrix(np.add.outer(xs, lo), np.add.outer(xs, hi), grid_shape[0]),
+        mdn._span_matrix(np.add.outer(ys, lo), np.add.outer(ys, hi), grid_shape[1]),
+        areas, ix + r0, iy + c0)
+    for a in lattice[2:]:
+        a.flags.writeable = False
+    return lattice
+
+
+def _tray_lattice(grid_shape, pooled_side) -> _Lattice:
+    """The selection lattice (``enumerate_candidates``) of a tray, built
+    once per grid shape and pooled side (``sim._per_tray``)."""
+    return _per_tray(_build_tray_lattice, tuple(grid_shape), pooled_side)
+
+
+def _build_tray_lattice(grid_shape, pooled_side) -> _Lattice:
+    return _lattice(grid_shape, _lattice_points(grid_shape),
+                    SelectionConfig.z_candidates_cm, pooled_side)
+
+
+def _lattice_features(heap, lattice):
     """Window medians (mm), shape (n_xy,), and model features, shape
-    (n_xy, n_z, n_features), of an xy lattice x z list: bit for bit
+    (n_xy, n_z, n_features), of a ``_Lattice``: bit for bit
     ``mdn.features_from_rows`` of each ``observe_patch`` at each depth.
 
     No window is materialised. ``batch_unit_medians`` reads each window's
@@ -143,45 +197,36 @@ def _lattice_features(config, heap, xy_points, z_list):
 
     The grid's 0.1 mm units (``sim.height_units``), int64 and as whole
     float64 values for the span products, live in kept working arrays
-    (``sim._kept``).
+    (``sim._kept``). The span products run as rows @ (grid @ cols.T), the
+    cheaper order; whole units times 0/1 spans are exact in either.
     """
-    n_xy = len(xy_points)
-    m = PATCH_MARGIN
-    side = 2 * m
-    ix = np.fromiter((x - m for x, _ in xy_points), dtype=int, count=n_xy)
-    iy = np.fromiter((y - m for _, y in xy_points), dtype=int, count=n_xy)
+    n_xy = len(lattice.ix)
+    side = 2 * PATCH_MARGIN
     grid = height_units(heap.heights, out=_kept("lattice.grid", heap.heights.shape))
     units_grid = _kept("lattice.units", heap.heights.shape, np.int64)
     np.copyto(units_grid, grid, casting="unsafe")
-    median_units = batch_unit_medians(units_grid, ix, iy, (side, side))
+    median_units = batch_unit_medians(units_grid, lattice.ix, lattice.iy, (side, side))
 
-    s_out = config.pooled_side
-    lo, hi, areas = mdn._pool_spans(side, s_out)
-    xs, x_of = np.unique(ix, return_inverse=True)
-    ys, y_of = np.unique(iy, return_inverse=True)
-    rows = mdn._span_matrix(np.add.outer(xs, lo), np.add.outer(xs, hi), units_grid.shape[0])
-    cols = mdn._span_matrix(np.add.outer(ys, lo), np.add.outer(ys, hi), units_grid.shape[1])
-    sums = (rows @ grid @ cols.T).reshape(len(xs), s_out, len(ys), s_out)
-    block_sums = 2 * sums[x_of, :, y_of, :].reshape(n_xy, -1) - areas * 2 * median_units[:, None]
-
-    z_arr = np.asarray(z_list, dtype=float)
-    tips = ((2 * median_units).astype(np.int64)[:, None]
-            - np.rint(z_arr * mdn.DEPTH_UNITS_PER_CM).astype(np.int64))
-    (r0, _), (c0, _) = mdn._capture_spans(side)
-    caps = _capture_sums(units_grid, ix + r0, iy + c0, mdn.CAPTURE_WINDOW_MM, tips)
-    feats = mdn._features(block_sums[:, None, :], areas, caps, z_arr)
+    s = lattice.pooled_side
+    sums = (lattice.rows @ (grid @ lattice.cols.T)).reshape(len(lattice.rows) // s, s,
+                                                           len(lattice.cols) // s, s)
+    block_sums = (2 * sums[lattice.x_of, :, lattice.y_of, :].reshape(n_xy, -1)
+                  - lattice.areas * 2 * median_units[:, None])
+    tips = (2 * median_units).astype(np.int64)[:, None] - lattice.depth_units
+    caps = _capture_sums(units_grid, lattice.cx, lattice.cy, mdn.CAPTURE_WINDOW_MM, tips)
+    feats = mdn._features(block_sums[:, None, :], lattice.areas, caps, lattice.depths)
     return median_units / 10.0, feats
 
 
-def _score_grid(model, heap, xy_points, z_list, clearance_mm):
-    """Vectorised scoring of an xy lattice x z list: one forward pass over
+def _score_grid(model, heap, lattice, clearance_mm):
+    """Vectorised scoring of a ``_Lattice``: one forward pass over
     ``_lattice_features``. Returns (mu, sigma) arrays of shape (n_xy, n_z)
     matching score_candidate pointwise, up to the batched forward's float
     order."""
-    medians, feats = _lattice_features(model.config, heap, xy_points, z_list)
+    medians, feats = _lattice_features(heap, lattice)
     pi, mu_k, sigma_k = mdn._forward_batch(model, feats.reshape(-1, feats.shape[-1]))
     mu, sigma = mdn._reduce_mixture(pi, mu_k, sigma_k)
-    clear = clears_floor(medians[:, None], np.asarray(z_list, dtype=float), clearance_mm)
+    clear = clears_floor(medians[:, None], lattice.depths, clearance_mm)
     return (np.where(clear, mu.reshape(clear.shape), 0.0),
             np.where(clear, sigma.reshape(clear.shape), math.inf))
 
@@ -202,11 +247,11 @@ def _pick(target, alpha, mu, sigma):
 
 
 def _score_lattice(model, heap, clearance_mm):
-    """The enumerated candidates with their flat (mu, sigma) arrays, in
-    enumeration order."""
-    mu, sigma = _score_grid(model, heap, _lattice_points(heap.tray_mm),
-                            SelectionConfig.z_candidates_cm, clearance_mm)
-    return enumerate_candidates(heap.tray_mm), mu.ravel(), sigma.ravel()
+    """The enumerated candidates, as a tuple, with their flat (mu, sigma)
+    arrays, in enumeration order."""
+    lattice = _tray_lattice(heap.heights.shape, model.config.pooled_side)
+    mu, sigma = _score_grid(model, heap, lattice, clearance_mm)
+    return lattice.candidates, mu.ravel(), sigma.ravel()
 
 
 def pick_grasp(lattice, config: SelectionConfig):

@@ -305,6 +305,26 @@ def _kept(name: str, shape, dtype=np.float64) -> np.ndarray:
     return buf[:n].reshape(shape)
 
 
+_PER_TRAY = {}
+_PER_TRAY_MAX = 4   # values kept at once; a process sees a tray shape or two
+
+
+def _per_tray(build, *key):
+    """``build(*key)``, built on the first call with ``build`` and ``key``
+    and kept for later ones: for constants that depend only on a tray's
+    shape and fixed settings, such as the selection lattice, which every
+    pick on one tray would otherwise build again. The value is shared, so
+    ``build`` returns it read-only (tuples, and arrays that are not
+    writeable). The table holds at most ``_PER_TRAY_MAX`` values and drops
+    the oldest first."""
+    value = _PER_TRAY.get((build, *key))
+    if value is None:
+        if len(_PER_TRAY) >= _PER_TRAY_MAX:
+            del _PER_TRAY[next(iter(_PER_TRAY))]
+        value = _PER_TRAY[(build, *key)] = build(*key)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -562,21 +582,24 @@ def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
     """Exact medians of rectangular windows of an integer grid.
 
     Window i is ``units[ix[i]:ix[i] + sx, iy[i]:iy[i] + sy]`` with
-    ``shape = (sx, sy)``; every window must lie inside the grid. Returns
-    float64 medians in the grid's units, equal to ``np.median`` of each
-    window (half-integral when the two middle ranks differ).
+    ``shape = (sx, sy)``; every window must lie inside the grid and hold
+    fewer than 2**24 cells. Returns float64 medians in the grid's units,
+    equal to ``np.median`` of each window (half-integral when the two
+    middle ranks differ).
 
     The rows every window spans are cut into column strips of width
     g = gcd(sx, x offsets), so that each window is a whole run of strips.
-    The windows are taken one distinct ``iy`` at a time, in increasing
-    order, and one histogram per strip is kept over the sy columns of the
-    current band. Moving to the next band adds the columns that enter and
-    subtracts the ones that leave; only a band that does not overlap the
-    previous one is counted afresh. A window's histogram is the sum of its
-    run of strip histograms, one matrix product for all windows of a band,
-    and both middle ranks are read off its cumulative counts. Working memory
-    is one (strips x value range) table and one (windows x strips) 0/1
-    matrix, whatever the area of the windows.
+    The windows are taken one band (distinct ``iy``) at a time, in
+    increasing order, and one histogram per strip is kept over the sy
+    columns of the current band. Moving to the next band adds the columns
+    that enter and subtracts the ones that leave; only a band that does not
+    overlap the previous one is counted afresh. A window's histogram is the
+    sum of its run of strip histograms, one matrix product for all windows
+    of a band, written into the band's rows of one (windows x value range)
+    table; after the last band one rank read (``_median_of_counts``) gives
+    every window's two middle ranks. Working memory is that table, kept
+    (``_kept``), one (strips x value range) table and one (windows x
+    strips) 0/1 matrix, whatever the area of the windows.
     """
     units = np.asarray(units)
     ix = np.asarray(ix, dtype=np.intp).reshape(-1)
@@ -584,50 +607,59 @@ def batch_unit_medians(units: np.ndarray, ix, iy, shape) -> np.ndarray:
     sx, sy = (int(s) for s in shape)
     if sx < 1 or sy < 1:
         raise ValueError(f"window shape must be positive, got {shape}")
+    # float32 counts, so that one BLAS product sums each window's strips: a
+    # count is at most the window's area, and below 2**24 every sum is exact
+    if sx * sy >= 2 ** 24:
+        raise ValueError(f"window area must be below 2**24 cells, got {shape}")
     out = np.empty(ix.size)
     if ix.size == 0:
         return out
     if (ix.min() < 0 or iy.min() < 0 or ix.max() + sx > units.shape[0]
             or iy.max() + sy > units.shape[1]):
         raise ValueError("windows must lie inside the grid")
+    # the windows band by band: band b holds rows starts[b]:starts[b + 1]
+    order = np.argsort(iy, kind="stable")
+    bands, starts = np.unique(iy[order], return_index=True)
+    starts = np.append(starts, ix.size)
     x0 = ix.min()
-    off = ix - x0
+    off = ix[order] - x0
     g = math.gcd(sx, *off.tolist())
-    y_lo = iy.min()
-    region = units[x0:x0 + off.max() + sx, y_lo:iy.max() + sy]
+    y_lo = bands[0]
+    region = units[x0:x0 + off.max() + sx, y_lo:bands[-1] + sy]
     n_strips = region.shape[0] // g
     strips = np.arange(n_strips)
     # window i is the run of strips off[i] // g up to (off[i] + sx) // g
     member = ((strips >= (off // g)[:, None])
-              & (strips < ((off + sx) // g)[:, None])).astype(float)
+              & (strips < ((off + sx) // g)[:, None])).astype(np.float32)
     lo = int(region.min())
-    span = int(region.max()) - lo + 1
+    # the value range, in whole blocks of _median_of_counts
+    span = -((lo - int(region.max()) - 1) // _RANK_BLOCK) * _RANK_BLOCK
     # bin key: strip index * span + (value - lo)
     key_base = (np.arange(region.shape[0]) // g * span - lo)[:, None]
 
     def keys(c0, c1):
-        # one kept array (``_kept``), read by each bincount or add.at before
-        # the next call overwrites it
+        # written in one pass into one kept array (``_kept``), read by each
+        # bincount or add.at before the next call overwrites it
         k = _kept("medians.keys", (region.shape[0], c1 - c0), np.intp)
-        np.copyto(k, region[:, c0:c1], casting="unsafe")
-        k += key_base
-        return k.ravel()
+        return np.add(region[:, c0:c1], key_base, out=k, casting="unsafe").ravel()
 
-    # float64 counts, so that one BLAS product sums each window's strips; they
-    # stay whole numbers far below 2**53, so every sum is exact
+    counts = _kept("medians.counts", (ix.size, span), np.float32)
+    one = np.float32(1)   # of the table's type: add.at casts any other per element
     prev = None
-    for y0 in np.unique(iy) - y_lo:
+    for b, y0 in enumerate(bands - y_lo):
         if prev is None or y0 >= prev + sy:
-            hist = np.bincount(keys(y0, y0 + sy), minlength=n_strips * span).astype(float)
+            hist = np.bincount(keys(y0, y0 + sy), minlength=n_strips * span).astype(np.float32)
         else:
-            np.add.at(hist, keys(prev + sy, y0 + sy), 1.0)
-            np.subtract.at(hist, keys(prev, y0), 1.0)
+            np.add.at(hist, keys(prev + sy, y0 + sy), one)
+            np.subtract.at(hist, keys(prev, y0), one)
         prev = y0
-        rows = np.flatnonzero(iy == y0 + y_lo)
-        # counts of values <= lo + v inside each window of the band
-        below = np.cumsum(member[rows] @ hist.reshape(n_strips, span), axis=1)
-        out[rows] = _median_of_cumulative(below, sx * sy, lo)
+        rows = slice(starts[b], starts[b + 1])
+        np.matmul(member[rows], hist.reshape(n_strips, span), out=counts[rows])
+    out[order] = _median_of_counts(counts, sx * sy, lo)
     return out
+
+
+_RANK_BLOCK = 32   # value bins per block of _median_of_counts
 
 
 def _median_of_cumulative(below, p, lo):
@@ -635,10 +667,32 @@ def _median_of_cumulative(below, p, lo):
     v]`` counts the values <= lo + v. The rank-k value (0-based) is lo plus
     the number of v whose count is <= k; the median is the mean of ranks
     (p + 1) // 2 - 1 and p // 2, a whole or half unit, as ``np.median``
-    takes it. The rank rule of both median functions."""
+    takes it. The rank rule of both median functions: ``_median_of_counts``
+    applies it block by block."""
     v_lo = (below <= (p + 1) // 2 - 1).sum(axis=-1)
     v_hi = (below <= p // 2).sum(axis=-1)
     return (v_lo + v_hi) / 2.0 + lo
+
+
+def _median_of_counts(counts, p, lo):
+    """``_median_of_cumulative`` of each row of ``counts``, p integers whose
+    ``counts[i, v]`` counts the values lo + v, without the cumulative
+    counts of the whole row: the row is cut into blocks of _RANK_BLOCK
+    values, and each middle rank k is read in two steps. The blocks that
+    end at a cumulative count <= k lie wholly below rank k; the next block
+    holds it, and the rank rule over that block's cumulative counts gives
+    its place. Whole counts below 2**24 are exact in float32 sums."""
+    n, span = counts.shape
+    blocks = counts.reshape(n, span // _RANK_BLOCK, _RANK_BLOCK)
+    ends = np.cumsum(np.add.reduceat(counts, np.arange(0, span, _RANK_BLOCK), axis=1), axis=1)
+    rows = np.arange(n)
+    v = 0
+    for k in ((p + 1) // 2 - 1, p // 2):
+        j = (ends <= k).sum(axis=1)
+        below = np.cumsum(blocks[rows, j], axis=1)
+        below += np.where(j > 0, ends[rows, j - 1], 0)[:, None]
+        v = v + j * _RANK_BLOCK + (below <= k).sum(axis=1)
+    return v / 2.0 + lo
 
 
 def patch_window(heap: HeapState, x: int, y: int):
@@ -764,20 +818,32 @@ def _set_heights(heap, sl_x, sl_y, height, mass, where=True) -> None:
     and their density becomes mass / height, so each keeps exactly its
     mass: the density absorbs the rounding and the brim. A column with no
     mass gets height 0 and keeps its density. Cells outside ``where`` keep
-    their bits. ``height`` is overwritten."""
-    held = np.greater(mass, 0.0, out=np.zeros(mass.shape, bool), where=where)
+    their bits. ``height`` is overwritten. The mask of held columns and
+    the quotient live in kept working arrays (``_kept``); when ``where`` is
+    the whole box and every column holds mass, the quotient goes straight
+    into the density and the heights are assigned, with no mask."""
+    held = np.greater(mass, 0.0, out=_kept("set_heights.held", mass.shape, bool))
     np.round(height, 1, out=height)   # the bits of quantize_height
     np.clip(height, HEIGHT_QUANTUM_MM, heap.tray_mm[2], out=height)
-    np.copyto(heap.bulk_density[sl_x, sl_y], mass / height, where=held)
-    np.copyto(height, 0.0, where=~held)
+    if where is True and held.all():
+        np.divide(mass, height, out=heap.bulk_density[sl_x, sl_y])
+        heap.heights[sl_x, sl_y] = height
+        return
+    held &= where
+    np.copyto(heap.bulk_density[sl_x, sl_y],
+              np.divide(mass, height, out=_kept("set_heights.density", mass.shape)), where=held)
+    np.copyto(height, 0.0, where=np.logical_not(held, out=held))
     np.copyto(heap.heights[sl_x, sl_y], height, where=where)
 
 
 def _settle(heap: HeapState, sl_x, sl_y, mask) -> None:
     """Exposed material reverts to its fresh (settled) density; heights
-    shrink to keep each column's mass exactly unchanged."""
-    mass = heap.heights[sl_x, sl_y] * heap.bulk_density[sl_x, sl_y]
-    _set_heights(heap, sl_x, sl_y, mass / heap.rho_fresh[sl_x, sl_y], mass, mask)
+    shrink to keep each column's mass exactly unchanged. The column masses
+    and the new heights live in kept working arrays (``_kept``)."""
+    h = heap.heights[sl_x, sl_y]
+    mass = np.multiply(h, heap.bulk_density[sl_x, sl_y], out=_kept("settle.mass", h.shape))
+    height = np.divide(mass, heap.rho_fresh[sl_x, sl_y], out=_kept("settle.height", h.shape))
+    _set_heights(heap, sl_x, sl_y, height, mass, mask)
 
 
 def _slump(heap: HeapState, sl_x, sl_y, strength, reach_mm) -> None:

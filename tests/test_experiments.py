@@ -145,6 +145,29 @@ def test_preset_names_and_validation():
         ex.ExperimentPreset("TABLE3", (), targets=None)
 
 
+def test_preset_arms_and_bands_must_fit_the_study():
+    """A hand-built preset whose arms or bands do not fit its study's row
+    is rejected when built, by field, not deep in the run."""
+    table3 = ex.STUDIES["TABLE3"]
+    with pytest.raises(ValueError, match=r"ExperimentPreset.arms: arm 'a' of TABLE3 must set "
+                                         r"\['pregrasp', 'spines'\]"):
+        ex.ExperimentPreset("TABLE3", (("a", {"spines": True}),), targets=None, episodes=30,
+                            drops_g=(10.0,))
+    with pytest.raises(ValueError, match="ExperimentPreset.bands: TABLE3 needs at least one band"):
+        ex.ExperimentPreset("TABLE3", table3.arms, targets=None, episodes=30, bands=(),
+                            drops_g=(10.0,))
+    with pytest.raises(ValueError, match="ExperimentPreset.bands: TABLE1 takes no bands"):
+        ex.ExperimentPreset("TABLE1", ex.STUDIES["TABLE1"].arms, episodes=30, bands=(2.0,))
+    with pytest.raises(ValueError, match="ExperimentPreset.arms: arm 'x' of TABLE4"):
+        ex.ExperimentPreset("TABLE4", (("x", {"alpha": 1.0, "trace": True}),), episodes=30)
+    with pytest.raises(ValueError, match="ExperimentPreset.arms: TABLE4 needs at least one arm"):
+        ex.ExperimentPreset("TABLE4", (), episodes=30)
+    # a subset of the row's arms, and an arm that leaves out an optional name
+    ex.ExperimentPreset("TABLE4", (("ours", {"alpha": 1.0}),), episodes=30)
+    ex.ExperimentPreset("TABLE3", table3.arms[1:], targets=None, episodes=30, bands=(2.0,),
+                        drops_g=(10.0,))
+
+
 def test_preset_of_an_unknown_study_is_rejected_when_built():
     with pytest.raises(ValueError, match="unknown preset 'TABLE9'"):
         ex.ExperimentPreset("TABLE9", ex.STUDIES["TABLE3"].arms, targets=None,

@@ -87,9 +87,8 @@ def test_warm_scoring_and_grasping_allocate_below_one_grid(heaps, trained_model)
 def test_results_survive_another_heap_on_the_same_buffers(heaps, trained_model):
     cfg, heap, other = heaps
     cands, mu, sigma = select._score_lattice(trained_model, heap, cfg.clearance_mm)
-    medians, feats = select._lattice_features(trained_model.config, heap,
-                                              select._lattice_points(heap.tray_mm),
-                                              sim.Z_INFER_DEEP)
+    medians, feats = select._lattice_features(
+        heap, select._tray_lattice(heap.heights.shape, trained_model.config.pooled_side))
     saved = [a.copy() for a in (mu, sigma, medians, feats)]
 
     work = other.copy()
@@ -108,3 +107,19 @@ def test_height_units_into_a_float_array_are_the_int64_units(heaps):
     out = np.empty_like(heights)
     assert sim.height_units(heights, out=out) is out
     assert np.array_equal(out, sim.height_units(heights)) and out.dtype == np.float64
+
+
+def test_the_per_tray_table_is_small_and_read_only(trained_model):
+    sim._PER_TRAY.clear()
+    shapes = [(424, 308), (170, 160), (460, 360), (200, 200), (300, 250)]
+    lattices = [select._tray_lattice(shape, trained_model.config.pooled_side)
+                for shape in shapes]
+    assert len(sim._PER_TRAY) == sim._PER_TRAY_MAX < len(shapes)
+    # the latest shape is served from the table; the oldest was dropped
+    assert select._tray_lattice(shapes[-1], trained_model.config.pooled_side) is lattices[-1]
+    assert select._tray_lattice(shapes[0], trained_model.config.pooled_side) is not lattices[0]
+    lattice = lattices[0]
+    assert isinstance(lattice.candidates, tuple)
+    for field in lattice[2:]:
+        with pytest.raises(ValueError):
+            field[...] = 0

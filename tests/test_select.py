@@ -9,6 +9,11 @@ from entpick import mdn, pipeline, select, sim
 from entpick.select import SelectionConfig
 
 
+def lattice_of(heap, xy, zs, config):
+    """The ``select._Lattice`` of points and depths on the heap's grid."""
+    return select._lattice(heap.heights.shape, xy, zs, config.pooled_side)
+
+
 def brute_force_pick(target, alpha, mus, sigmas):
     """Independent oracle: plain-python scan over all candidates."""
     best = None
@@ -102,7 +107,7 @@ def test_batch_grid_matches_single_scoring(heap_and_model):
     cfg, heap, model = heap_and_model
     xy = [(80, 80), (200, 150), (344, 228)]
     zs = (2.0, 3.0, 4.0)
-    mu, sigma = select._score_grid(model, heap, xy, zs, 5.0)
+    mu, sigma = select._score_grid(model, heap, lattice_of(heap, xy, zs, model.config), 5.0)
     for i, (x, y) in enumerate(xy):
         for j, z in enumerate(zs):
             mu1, sigma1 = select.score_candidate(model, heap, x, y, z)
@@ -325,6 +330,23 @@ def test_selection_matches_partition_oracle_on_mutated_heap(mutated_heap, traine
     assert got_report == select.selection_report(trained_model, mutated_heap, scfg)
 
 
+def test_tray_lattices_hold_no_cross_talk(mutated_heap, trained_model, heap_and_model):
+    """Scorings alternate between a mutated default heap and a 170 x 160
+    heap, under two pooled sides, so each reads the per-tray lattice of its
+    own shape; every result equals the same scoring with the per-tray table
+    cleared, which builds the lattice afresh."""
+    small = sim.init_heap(sim.SimConfig(tray_mm=(170, 160, 160)), seed=5)
+    other_model = heap_and_model[2]   # feature_downsample 20
+    jobs = [(model, heap) for model in (trained_model, other_model)
+            for heap in (mutated_heap, small)] * 2
+    runs = [select._score_lattice(model, heap, 5.0) for model, heap in jobs]
+    for (model, heap), (cands, mu, sigma) in zip(jobs, runs):
+        sim._PER_TRAY.clear()
+        fresh_cands, fresh_mu, fresh_sigma = select._score_lattice(model, heap, 5.0)
+        assert cands == fresh_cands == tuple(select.enumerate_candidates(heap.tray_mm))
+        assert np.array_equal(mu, fresh_mu) and np.array_equal(sigma, fresh_sigma)
+
+
 def patch_features(config, heap, xy, zs):
     """``features_from_rows`` of each observed patch at each depth, shaped
     like ``_lattice_features``."""
@@ -340,9 +362,10 @@ def test_grid_scoring_matches_per_candidate_on_mutated_heap(mutated_heap, traine
     differ only by the batched forward's float order."""
     xy = [(80, 80), (140, 125), (212, 154), (290, 200), (344, 228)]
     zs = sim.Z_INFER_DEEP
-    _, feats = select._lattice_features(trained_model.config, mutated_heap, xy, zs)
+    lattice = lattice_of(mutated_heap, xy, zs, trained_model.config)
+    _, feats = select._lattice_features(mutated_heap, lattice)
     assert np.array_equal(feats, patch_features(trained_model.config, mutated_heap, xy, zs))
-    mu, sigma = select._score_grid(trained_model, mutated_heap, xy, zs, 5.0)
+    mu, sigma = select._score_grid(trained_model, mutated_heap, lattice, 5.0)
     for i, (x, y) in enumerate(xy):
         for j, z in enumerate(zs):
             mu1, sigma1 = select.score_candidate(trained_model, mutated_heap, x, y, z)
@@ -425,7 +448,7 @@ def test_capture_matches_patch_capture_volumes_on_fresh_heap():
     zs = sim.Z_INFER_DEEP
     for downsample in (80, 20):
         cfg = mdn.ModelConfig(feature_downsample=downsample)
-        medians, feats = select._lattice_features(cfg, heap, xy, zs)
+        medians, feats = select._lattice_features(heap, lattice_of(heap, xy, zs, cfg))
         assert feats.shape == (len(xy), len(zs), cfg.n_features)
         assert np.array_equal(feats, patch_features(cfg, heap, xy, zs))
     assert np.array_equal(medians, [sim.local_median_height(heap, x, y) for x, y in xy])
@@ -452,7 +475,8 @@ def test_floor_rule_boundary_agrees_across_stages(clearance_half_mm, z_quarter_c
     assert sim.clears_floor(fill, z, clearance) and not sim.clears_floor(fill, deeper, clearance)
 
     model = mdn.init_params(mdn.ModelConfig(K=1, feature_downsample=40, hidden_sizes=(4,)))
-    _, sigma = select._score_grid(model, heap, [(x, y)], (z, deeper), clearance)
+    _, sigma = select._score_grid(model, heap, lattice_of(heap, [(x, y)], (z, deeper),
+                                                          model.config), clearance)
     assert math.isfinite(sigma[0, 0]) and sigma[0, 1] == math.inf
     assert math.isfinite(select.score_candidate(model, heap, x, y, z, clearance)[1])
     assert select.score_candidate(model, heap, x, y, deeper, clearance) == (0.0, math.inf)

@@ -401,6 +401,23 @@ def test_window_medians_slide_and_rebuild(shape):
     assert np.array_equal(got, window_medians(units, ix[order], iy[order], shape))
 
 
+@pytest.mark.parametrize("n_values", [1, 2, 1201, 3000])
+def test_window_medians_in_shuffled_band_order(n_values):
+    """The default tray's 180 windows of 160 x 160, 10 bands of 18, given
+    in shuffled order, on grids whose values span 1, 2, 1,201 and 3,000
+    units: each band's counts land in its own windows' rows."""
+    rng = np.random.default_rng(n_values)
+    units = 40 + rng.integers(0, n_values, size=(424, 308))
+    ix, iy = (a.ravel() for a in np.meshgrid(np.arange(4, 264, 15), np.arange(4, 149, 15),
+                                             indexing="ij"))
+    assert (ix.size, np.unique(iy).size) == (180, 10)
+    order = rng.permutation(ix.size)
+    got = sim.batch_unit_medians(units, ix[order], iy[order], (160, 160))
+    assert np.array_equal(got, window_medians(units, ix[order], iy[order], (160, 160)))
+    if n_values == 1:
+        assert (got == 40).all()
+
+
 def test_window_medians_reject_windows_outside_grid():
     units = np.zeros((20, 10), dtype=np.int64)
     for ix, iy in (([-1], [0]), ([0], [-1]), ([5], [0]), ([0], [1])):
@@ -408,6 +425,9 @@ def test_window_medians_reject_windows_outside_grid():
             sim.batch_unit_medians(units, ix, iy, (16, 10))
     with pytest.raises(ValueError):
         sim.batch_unit_medians(units, [0], [0], (0, 10))
+    # float32 counts are exact only below 2**24 cells a window
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        sim.batch_unit_medians(units, [0], [0], (4096, 4096))
     assert sim.batch_unit_medians(units, [], [], (16, 10)).shape == (0,)
 
 
