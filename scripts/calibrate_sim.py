@@ -2,8 +2,8 @@
 """Calibration diagnostics for the default simulator configuration.
 
 Prints the collected-mass distribution, model fit quality, fresh-heap
-prediction bias, histogram mode counts, and a reduced-size directional
-sweep of the four study presets. Run after touching simulator defaults.
+prediction bias and histogram mode counts. Run after touching simulator
+defaults; `entpick experiment` and `scripts/run_studies.py` run the studies.
 """
 
 import argparse
@@ -12,15 +12,13 @@ import time
 import numpy as np
 
 from entpick import experiments as ex
-from entpick import cli, mdn, pipeline, select, sim
+from entpick import mdn, pipeline, select, sim
 from entpick.sim import PatchObservation
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--episodes", type=int, default=60)
     ap.add_argument("--seed", type=int, default=101)
-    ap.add_argument("--tables", default="1,2,3,4")
     args = ap.parse_args()
 
     cfg = sim.SimConfig()
@@ -61,19 +59,6 @@ def main():
     ds1 = pipeline.run_collection(cfg, 200, zpool=(3.0,), seed=args.seed)
     hist1 = ex.mass_histogram(ds1, 2.0, split="train")
     print("modes: multi-z %d  single-z %d" % (ex.count_modes(hist), ex.count_modes(hist1)))
-
-    wanted = set(args.tables.split(","))
-    studies = {"1": ("TABLE1", 5, {}), "2": ("TABLE2", 6, {"drops_g": (3.0, 5.0, 10.0)}),
-               "3": ("TABLE3", 7, {}), "4": ("TABLE4", 8, {})}
-    for key, (name, seed, kw) in studies.items():
-        if key not in wanted:
-            continue
-        t0 = time.perf_counter()
-        r = ex.run_experiment(ex.preset(name, episodes=args.episodes, seed=seed, **kw), cfg, model)
-        print("%s (%.0fs):" % (name, time.perf_counter() - t0))
-        cli.print_cells(r)
-        cli.print_paired(r)
-        cli.print_counts(r)
 
 
 if __name__ == "__main__":

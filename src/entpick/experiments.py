@@ -4,14 +4,15 @@ Each study is one row of ``STUDIES``: its arms as (label, episode kwargs)
 rows, its cells (percentile targets, nearest-rank percentiles of the
 training masses that the model's training log carries, or fixed drops when
 it has no targets), its bands, index function, metric and success rule.
-``run_experiment`` runs a preset's arm x cells as paired trials (common
-random numbers): episode i of every arm x cell starts from a copy of the
-same heap with the same ops seed. The index function (``_run_index`` over
-an episode function, or ``_random_grasp_index``, which grasps once per
-pre-grasp flag) returns one record per arm x cell of index i, each with a
-``status`` in ``STATUSES``. The runner counts the statuses, judges success
-on placed records only, and reports per band a bootstrap mean +- std rate
-and the paired difference of each later arm against the first:
+``run_experiment`` runs a study's arms x a preset's cells as paired trials
+(common random numbers): episode i of every arm x cell starts from a copy
+of the same heap with the same ops seed. The index function
+(``_run_index`` over an episode function, or ``_random_grasp_index``,
+which grasps once per pre-grasp flag) returns one record per arm x cell of
+index i, each with a ``status`` in ``STATUSES``. The runner counts the
+statuses, judges success on placed records only, and reports per band a
+bootstrap mean +- std rate and the paired difference of each later arm
+against the first:
 
   TABLE1    selection margin alpha 0 vs 1, a single pick; success = grasped
             mass above target - 2 g, at the 10th/50th/70th percentiles.
@@ -35,7 +36,7 @@ import copy
 import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -323,55 +324,42 @@ STUDIES = {
 PRESET_NAMES = tuple(STUDIES)
 
 
-def _study(name: str) -> Study:
-    if name.upper() not in STUDIES:
-        raise ValueError(f"unknown preset {name.upper()!r}; available: {', '.join(STUDIES)}")
-    return STUDIES[name.upper()]
-
-
 @dataclass
 class ExperimentPreset:
-    name: str                              # a study of STUDIES
-    arms: tuple                            # (label, episode kwargs); the first is the reference
-    targets: tuple | None = (10, 50, 70)   # percentiles of training masses
+    """One run of a study of ``STUDIES``. The row fixes the arms, the bands
+    and the kind of cell; the preset gives the cells of that kind (the
+    row's own when left None), the episodes per cell and the seed."""
+    name: str                       # a study of STUDIES, upper-cased when built
+    targets: tuple | None = None    # percentiles of training masses
     episodes: int = 200
-    bands: tuple = (2.0, 3.0, 4.0)
     seed: int = 20240601
-    drops_g: tuple | None = None           # the cells when targets is None
+    drops_g: tuple | None = None    # the cells of a drop-based study
 
     def __post_init__(self):
-        study = _study(self.name)
+        self.name = self.name.upper()
+        if self.name not in STUDIES:
+            raise ValueError(f"unknown preset {self.name!r}; available: {', '.join(STUDIES)}")
+        study = STUDIES[self.name]
         if self.episodes < 30:
             raise ValueError("need at least 30 episodes per cell")
+        cells, other = ("targets", "drops_g") if study.targets else ("drops_g", "targets")
+        if getattr(self, other) is not None:
+            raise ValueError(f"ExperimentPreset.{other}: {self.name} takes {cells}, "
+                             f"got {other}={getattr(self, other)!r}")
+        if getattr(self, cells) is None:
+            setattr(self, cells, getattr(study, cells))
+        if not getattr(self, cells):
+            raise ValueError(f"ExperimentPreset.{cells}: {self.name} needs at least one cell")
         if self.targets is not None and any(not 0 < p < 100 for p in self.targets):
             raise ValueError("percentiles must lie in (0, 100)")
-        if self.targets is None and not self.drops_g:
-            raise ValueError("a preset without percentile targets needs drops_g")
-        # an arm sets every keyword that each of the study's own arms sets,
-        # and none that none of them sets
-        names = [set(kw) for _, kw in study.arms]
-        required, allowed = set.intersection(*names), set.union(*names)
-        if not self.arms:
-            raise ValueError(f"ExperimentPreset.arms: {self.name.upper()} needs at least one arm")
-        for label, kw in self.arms:
-            if not required <= set(kw) <= allowed:
-                raise ValueError(
-                    f"ExperimentPreset.arms: arm {label!r} of {self.name.upper()} must set "
-                    f"{sorted(required)} and may set only {sorted(allowed)}, got {sorted(kw)}")
-        # the success rule reads a band exactly when the study's own row has bands
-        if bool(self.bands) != bool(study.bands):
-            need = "needs at least one band" if study.bands else "takes no bands"
-            raise ValueError(f"ExperimentPreset.bands: {self.name.upper()} {need}, "
-                             f"got {self.bands!r}")
 
 
 def preset(name: str, episodes: int = 200, seed: int = 20240601,
            drops_g: tuple | None = None) -> ExperimentPreset:
     """The preset of a study of ``STUDIES`` by name; `drops_g` replaces the
-    drops of the drop-based studies."""
-    study = _study(name)
-    return ExperimentPreset(name.upper(), study.arms, study.targets, episodes, study.bands, seed,
-                            drops_g if drops_g and study.drops_g else study.drops_g)
+    drops of the drop-based studies and is ignored by the others."""
+    p = ExperimentPreset(name, episodes=episodes, seed=seed)
+    return replace(p, drops_g=drops_g) if drops_g and p.drops_g else p
 
 
 def _targets_from_model(model: mdn.ModelParams, percentiles) -> list:
@@ -383,6 +371,13 @@ def _targets_from_model(model: mdn.ModelParams, percentiles) -> list:
     return [nearest_rank_percentile(masses, p) for p in percentiles]
 
 
+def _ledger(imbalances) -> dict:
+    """The mass ledger of a run's episodes: the largest and the summed
+    heap loss less placed and discarded mass."""
+    return {"max_abs_imbalance_g": max((abs(i) for i in imbalances), default=0.0),
+            "cumulative_imbalance_g": float(math.fsum(imbalances))}
+
+
 def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
                    model: mdn.ModelParams | None = None,
                    workers: int = 1) -> BootstrapReport:
@@ -391,7 +386,7 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
     the first. Cells are percentile targets (which need the model), or the
     preset's drops when it has no targets. Episode indices are the unit of
     work, and of the `workers` map."""
-    name = preset_obj.name.upper()
+    name = preset_obj.name
     study = STUDIES[name]
     percentiles = preset_obj.targets
     if percentiles is None:
@@ -402,7 +397,7 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
         cell_values = list(zip(percentiles, _targets_from_model(model, percentiles)))
 
     seeds = _episode_seeds(_cell_seed(preset_obj.seed, name), preset_obj.episodes)
-    index = partial(study.index, sim_config, model, tuple(kw for _, kw in preset_obj.arms),
+    index = partial(study.index, sim_config, model, tuple(kw for _, kw in study.arms),
                     tuple(v for _, v in cell_values))
     # per-index lists of arm-major results, transposed into arm x cell columns
     columns = iter(zip(*_map_episodes(index, seeds, workers)))
@@ -410,9 +405,9 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
     cells, paired, regrasp, imbalances = [], [], [], []
     counts = {"episodes": 0, **dict.fromkeys(STATUSES[1:], 0)}
     boot_seed = preset_obj.seed + 104729
-    bands = preset_obj.bands or (None,)
+    bands = study.bands or (None,)
     wins = {}
-    for label, _ in preset_obj.arms:
+    for label, _ in study.arms:
         for part, value in cell_values:
             results = next(columns)
             for band in bands:
@@ -434,8 +429,8 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
 
     # the arms share episode index i, so resampling per-index differences
     # is the paired bootstrap over indices
-    first = preset_obj.arms[0][0]
-    for label, _ in preset_obj.arms[1:]:
+    first = study.arms[0][0]
+    for label, _ in study.arms[1:]:
         for part, value in cell_values:
             for band in bands:
                 mean, std = bootstrap(wins[label, part, band] - wins[first, part, band],
@@ -445,14 +440,10 @@ def run_experiment(preset_obj: ExperimentPreset, sim_config: SimConfig,
                                "band_g": band, "metric": study.metric,
                                "mean_pp": mean, "std_pp": std})
 
-    ledger = {
-        "episodes": counts["episodes"],
-        "max_abs_imbalance_g": max((abs(i) for i in imbalances), default=0.0),
-        "cumulative_imbalance_g": float(math.fsum(imbalances)),
-    }
     return BootstrapReport(preset=name, cells=cells, paired=paired, regrasp=regrasp,
                            seeds={"root": preset_obj.seed, "bootstrap": boot_seed},
-                           ledger=ledger, counts=counts)
+                           ledger={"episodes": counts["episodes"], **_ledger(imbalances)},
+                           counts=counts)
 
 
 def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: float,
@@ -480,10 +471,7 @@ def run_episode_batch(sim_config: SimConfig, model: mdn.ModelParams, target: flo
             **{s: sum(1 for r in results if r["status"] == s) for s in STATUSES},
             "regrasped": sum(1 for r in results if r["retries"] > 0),
         },
-        "ledger": {
-            "max_abs_imbalance_g": max(abs(r["imbalance"]) for r in results),
-            "cumulative_imbalance_g": float(math.fsum(r["imbalance"] for r in results)),
-        },
+        "ledger": _ledger([r["imbalance"] for r in results]),
         "seeds": {"root": seed},
     }
     traces = [{"episode": i, **event} for i, r in enumerate(results) for event in r["events"]]

@@ -11,6 +11,7 @@ lowest enumeration index so any evaluation schedule returns the same point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -18,7 +19,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import mdn
-from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP, _kept, _per_tray,
+from .sim import (PATCH_MARGIN, HeapState, SimConfig, Z_INFER_DEEP, _kept,
                   batch_unit_medians, check_number, clears_floor, height_units,
                   local_median_height, observe_patch)
 
@@ -171,13 +172,10 @@ def _lattice(grid_shape, xy_points, z_list, pooled_side) -> _Lattice:
     return lattice
 
 
+@functools.lru_cache(maxsize=4)   # a process sees a tray shape or two
 def _tray_lattice(grid_shape, pooled_side) -> _Lattice:
     """The selection lattice (``enumerate_candidates``) of a tray, built
-    once per grid shape and pooled side (``sim._per_tray``)."""
-    return _per_tray(_build_tray_lattice, tuple(grid_shape), pooled_side)
-
-
-def _build_tray_lattice(grid_shape, pooled_side) -> _Lattice:
+    once per grid shape and pooled side and shared by every pick on it."""
     return _lattice(grid_shape, _lattice_points(grid_shape),
                     SelectionConfig.z_candidates_cm, pooled_side)
 

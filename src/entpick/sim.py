@@ -305,26 +305,6 @@ def _kept(name: str, shape, dtype=np.float64) -> np.ndarray:
     return buf[:n].reshape(shape)
 
 
-_PER_TRAY = {}
-_PER_TRAY_MAX = 4   # values kept at once; a process sees a tray shape or two
-
-
-def _per_tray(build, *key):
-    """``build(*key)``, built on the first call with ``build`` and ``key``
-    and kept for later ones: for constants that depend only on a tray's
-    shape and fixed settings, such as the selection lattice, which every
-    pick on one tray would otherwise build again. The value is shared, so
-    ``build`` returns it read-only (tuples, and arrays that are not
-    writeable). The table holds at most ``_PER_TRAY_MAX`` values and drops
-    the oldest first."""
-    value = _PER_TRAY.get((build, *key))
-    if value is None:
-        if len(_PER_TRAY) >= _PER_TRAY_MAX:
-            del _PER_TRAY[next(iter(_PER_TRAY))]
-        value = _PER_TRAY[(build, *key)] = build(*key)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

@@ -129,49 +129,41 @@ def test_count_modes_bimodal_vs_unimodal():
 def test_preset_names_and_validation():
     assert ex.PRESET_NAMES == tuple(ex.STUDIES)
     for name in ex.PRESET_NAMES:
-        p = ex.preset(name, episodes=30)
+        p = ex.preset(name.lower(), episodes=30)
         assert p.name == name
         assert p.episodes == 30
         row = ex.STUDIES[name]
-        assert (p.arms, p.targets, p.bands, p.drops_g) == (row.arms, row.targets, row.bands,
-                                                           row.drops_g)
+        assert (p.targets, p.drops_g) == (row.targets, row.drops_g)
+        assert ex.ExperimentPreset(name) == dataclasses.replace(p, episodes=200)
     with pytest.raises(ValueError, match="TABLE9"):
         ex.preset("TABLE9")
     with pytest.raises(ValueError, match="at least 30 episodes"):
-        ex.ExperimentPreset("TABLE1", (), episodes=10)
+        ex.ExperimentPreset("TABLE1", episodes=10)
     with pytest.raises(ValueError, match="percentiles"):
-        ex.ExperimentPreset("TABLE1", (), targets=(0, 50))
-    with pytest.raises(ValueError, match="drops_g"):
-        ex.ExperimentPreset("TABLE3", (), targets=None)
+        ex.ExperimentPreset("TABLE1", targets=(0, 50))
+    with pytest.raises(ValueError, match="ExperimentPreset.drops_g: TABLE3 needs at least one"):
+        ex.ExperimentPreset("TABLE3", drops_g=())
+    with pytest.raises(ValueError, match="ExperimentPreset.targets: TABLE4 needs at least one"):
+        ex.ExperimentPreset("TABLE4", targets=())
 
 
-def test_preset_arms_and_bands_must_fit_the_study():
-    """A hand-built preset whose arms or bands do not fit its study's row
-    is rejected when built, by field, not deep in the run."""
-    table3 = ex.STUDIES["TABLE3"]
-    with pytest.raises(ValueError, match=r"ExperimentPreset.arms: arm 'a' of TABLE3 must set "
-                                         r"\['pregrasp', 'spines'\]"):
-        ex.ExperimentPreset("TABLE3", (("a", {"spines": True}),), targets=None, episodes=30,
-                            drops_g=(10.0,))
-    with pytest.raises(ValueError, match="ExperimentPreset.bands: TABLE3 needs at least one band"):
-        ex.ExperimentPreset("TABLE3", table3.arms, targets=None, episodes=30, bands=(),
-                            drops_g=(10.0,))
-    with pytest.raises(ValueError, match="ExperimentPreset.bands: TABLE1 takes no bands"):
-        ex.ExperimentPreset("TABLE1", ex.STUDIES["TABLE1"].arms, episodes=30, bands=(2.0,))
-    with pytest.raises(ValueError, match="ExperimentPreset.arms: arm 'x' of TABLE4"):
-        ex.ExperimentPreset("TABLE4", (("x", {"alpha": 1.0, "trace": True}),), episodes=30)
-    with pytest.raises(ValueError, match="ExperimentPreset.arms: TABLE4 needs at least one arm"):
-        ex.ExperimentPreset("TABLE4", (), episodes=30)
-    # a subset of the row's arms, and an arm that leaves out an optional name
-    ex.ExperimentPreset("TABLE4", (("ours", {"alpha": 1.0}),), episodes=30)
-    ex.ExperimentPreset("TABLE3", table3.arms[1:], targets=None, episodes=30, bands=(2.0,),
-                        drops_g=(10.0,))
+def test_preset_cells_of_the_other_kind_are_rejected_when_built():
+    """The study's row alone decides whether its cells are percentile
+    targets or drops; cells of the other kind are rejected by field when
+    the preset is built, not taken silently or met deep in the run."""
+    with pytest.raises(ValueError, match=r"ExperimentPreset.targets: TABLE3 takes drops_g, "
+                                         r"got targets=\(10, 50, 70\)"):
+        ex.ExperimentPreset("TABLE3", targets=(10, 50, 70), episodes=30, drops_g=(10.0,))
+    with pytest.raises(ValueError, match=r"ExperimentPreset.drops_g: TABLE1 takes targets, "
+                                         r"got drops_g=\(5.0,\)"):
+        ex.ExperimentPreset("TABLE1", targets=None, episodes=30, drops_g=(5.0,))
+    with pytest.raises(ValueError, match="ExperimentPreset.targets: TABLE2 takes drops_g"):
+        dataclasses.replace(ex.preset("TABLE2", episodes=30), targets=(50,))
 
 
 def test_preset_of_an_unknown_study_is_rejected_when_built():
     with pytest.raises(ValueError, match="unknown preset 'TABLE9'"):
-        ex.ExperimentPreset("TABLE9", ex.STUDIES["TABLE3"].arms, targets=None,
-                            episodes=30, drops_g=(10.0,))
+        ex.ExperimentPreset("table9", episodes=30, drops_g=(10.0,))
 
 
 def test_drops_replace_only_the_drops_of_drop_based_studies():
@@ -269,7 +261,7 @@ def test_random_grasp_reports_count_no_failures(sim_config, name, kwargs):
     assert [r["target_g"] for r in report.regrasp] == list(p.drops_g) * 2
     for c in report.cells:
         assert list(c) == ["arm", "target_g", "band_g", "metric", "mean_pct", "std_pct"]
-        assert c["band_g"] in p.bands
+        assert c["band_g"] in ex.STUDIES[name].bands
 
 
 def test_workers_do_not_change_selection_results(sim_config, trained_model):
@@ -363,7 +355,8 @@ def _reference_report(p, sim_config, model):
     boot_seed = p.seed + 104729
     cells, regrasp = [], []
     counts = {"episodes": 0, "infeasible": 0, "failed_to_grasp": 0}
-    for label, kw in p.arms:
+    study = ex.STUDIES[p.name]
+    for label, kw in study.arms:
         for part, target in zip(p.targets, targets):
             outcomes = []
             for heap_seed, ops_seed in seeds:
@@ -385,7 +378,7 @@ def _reference_report(p, sim_config, model):
                     r = pipeline.run_inference_episode(model, heap, target, kw["alpha"],
                                                        cfg, rng)
                     outcomes.append((r.status, r.final_mass, r.retries))
-            for band in p.bands or (None,):
+            for band in study.bands or (None,):
                 if p.name == "TABLE1":
                     wins = [s == "placed" and m > target - 2.0 for s, m, _ in outcomes]
                 else:
@@ -432,11 +425,11 @@ def test_episode_batch_equals_reference_loop(sim_config, trained_model):
     assert summary["counts"]["regrasped"] == sum(r.retries > 0 for r in results)
 
 
-def test_paired_difference_of_identical_arms_is_zero(sim_config):
+def test_paired_difference_of_identical_arms_is_zero(sim_config, monkeypatch):
     twin = {"pregrasp": True, "spines": True}
-    p = ex.ExperimentPreset("TABLE3", arms=(("a", twin), ("b", twin)), targets=None,
-                            episodes=30, seed=5, bands=(2.0, 5.0), drops_g=(10.0,))
-    report = ex.run_experiment(p, sim_config)
+    monkeypatch.setitem(ex.STUDIES, "TABLE3", ex.STUDIES["TABLE3"]._replace(
+        arms=(("a", twin), ("b", twin)), bands=(2.0, 5.0)))
+    report = ex.run_experiment(ex.preset("TABLE3", episodes=30, seed=5), sim_config)
     assert [c["mean_pct"] for c in report.cells[:2]] == [c["mean_pct"] for c in report.cells[2:]]
     assert len(report.paired) == 2
     for row in report.paired:
@@ -504,7 +497,7 @@ def _reference_index(sim_config, arms, drops, heap_seed, ops_seed):
 ])
 def test_random_grasp_index_equals_per_episode_loop(sim_config, name, drops, episodes):
     p = ex.preset(name, episodes=30, seed=5, drops_g=drops)
-    arms = tuple(kw for _, kw in p.arms)
+    arms = tuple(kw for _, kw in ex.STUDIES[p.name].arms)
     results = []
     for heap_seed, ops_seed in ex._episode_seeds(ex._cell_seed(p.seed, p.name), 30)[:episodes]:
         got = ex._random_grasp_index(sim_config, None, arms, drops, heap_seed, ops_seed)
@@ -530,7 +523,7 @@ def test_random_grasp_index_runs_one_sequence_per_pregrasp_flag(sim_config, monk
 
     monkeypatch.setattr(ex, "execute_grasp", recording_grasp)
     p = ex.preset(name, episodes=30, seed=5)
-    arms = tuple(kw for _, kw in p.arms)
+    arms = tuple(kw for _, kw in ex.STUDIES[p.name].arms)
     for heap_seed, ops_seed in ex._episode_seeds(ex._cell_seed(p.seed, p.name), 4):
         heaps.clear()
         results = ex._random_grasp_index(sim_config, None, arms, p.drops_g, heap_seed, ops_seed)

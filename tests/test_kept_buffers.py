@@ -110,12 +110,13 @@ def test_height_units_into_a_float_array_are_the_int64_units(heaps):
 
 
 def test_the_per_tray_table_is_small_and_read_only(trained_model):
-    sim._PER_TRAY.clear()
+    select._tray_lattice.cache_clear()
     shapes = [(424, 308), (170, 160), (460, 360), (200, 200), (300, 250)]
     lattices = [select._tray_lattice(shape, trained_model.config.pooled_side)
                 for shape in shapes]
-    assert len(sim._PER_TRAY) == sim._PER_TRAY_MAX < len(shapes)
-    # the latest shape is served from the table; the oldest was dropped
+    info = select._tray_lattice.cache_info()
+    assert info.currsize == info.maxsize < len(shapes) == info.misses
+    # the latest shape is served from the table; the least recently used was dropped
     assert select._tray_lattice(shapes[-1], trained_model.config.pooled_side) is lattices[-1]
     assert select._tray_lattice(shapes[0], trained_model.config.pooled_side) is not lattices[0]
     lattice = lattices[0]

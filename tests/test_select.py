@@ -333,7 +333,7 @@ def test_selection_matches_partition_oracle_on_mutated_heap(mutated_heap, traine
 def test_tray_lattices_hold_no_cross_talk(mutated_heap, trained_model, heap_and_model):
     """Scorings alternate between a mutated default heap and a 170 x 160
     heap, under two pooled sides, so each reads the per-tray lattice of its
-    own shape; every result equals the same scoring with the per-tray table
+    own shape; every result equals the same scoring with the lattice cache
     cleared, which builds the lattice afresh."""
     small = sim.init_heap(sim.SimConfig(tray_mm=(170, 160, 160)), seed=5)
     other_model = heap_and_model[2]   # feature_downsample 20
@@ -341,7 +341,7 @@ def test_tray_lattices_hold_no_cross_talk(mutated_heap, trained_model, heap_and_
             for heap in (mutated_heap, small)] * 2
     runs = [select._score_lattice(model, heap, 5.0) for model, heap in jobs]
     for (model, heap), (cands, mu, sigma) in zip(jobs, runs):
-        sim._PER_TRAY.clear()
+        select._tray_lattice.cache_clear()
         fresh_cands, fresh_mu, fresh_sigma = select._score_lattice(model, heap, 5.0)
         assert cands == fresh_cands == tuple(select.enumerate_candidates(heap.tray_mm))
         assert np.array_equal(mu, fresh_mu) and np.array_equal(sigma, fresh_sigma)
