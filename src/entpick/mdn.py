@@ -12,11 +12,12 @@ crops exploit the gripper symmetry on the tiny datasets this is meant for.
 
 Features have one rule, ``_features``, which divides exact integer sums of
 heights in whole 0.05 mm units. One loop, ``_unit_features``, takes patches
-to those sums one patch at a time: heights in mm (``features_from_rows``)
-are rounded to units as they are copied, and dataset patches are stored in
-units, as int16 (``patch_units``), in memory and in the dataset file, so
-they are read without rounding. ``_variant_features`` and
-``select._lattice_features`` reach the same sums, so the same bits.
+to those sums one patch at a time, and it reads units only. ``patch_units``
+is the one rule from heights in mm to units, rint(20 h) as int16:
+``features_from_rows`` applies it to patches in mm, and collection to
+dataset patches, which are stored as int16 units in memory and in the
+dataset file. ``_variant_features`` and ``select._lattice_features`` reach
+the same sums, so the same bits.
 
 Training works in feature space. Every feature is a rectangle sum, and a
 flip maps a crop rectangle to a mirrored rectangle of the unflipped patch,
@@ -355,17 +356,16 @@ def _features(block_sums, areas, capture_sums, depths) -> np.ndarray:
 def features_from_rows(patches, depths, config: ModelConfig) -> np.ndarray:
     """Features of a list or stack of square median-relative patches (mm),
     all of one side, at their depths (cm). Heights are read as whole 0.05 mm
-    units, rint(20 h), so off-grid input, such as Gaussian noise, is read
-    at the nearest 0.05 mm; depths are not rounded. Built by
-    ``_unit_features``, one patch at a time."""
-    return _unit_features(patches, depths, config, in_mm=True)
+    units by ``patch_units``, so off-grid input, such as Gaussian noise, is
+    read at the nearest 0.05 mm, and a height int16 units cannot hold raises
+    ValueError; depths are not rounded. Built by ``_unit_features``."""
+    return _unit_features([patch_units(p) for p in patches], depths, config)
 
 
-def _unit_features(patches, depths, config: ModelConfig, in_mm=False) -> np.ndarray:
-    """The one loop from patches to features, shape (len(patches),
-    n_features): each patch is copied into one reused float64 array as whole
-    0.05 mm units, rint(20 h) of heights in mm when ``in_mm``, else the
-    units as given (the int16 patches of dataset rows), and its pooled block
+def _unit_features(patches, depths, config: ModelConfig) -> np.ndarray:
+    """The one loop from patches of whole 0.05 mm units (the int16 patches
+    of dataset rows) to features, shape (len(patches), n_features): each
+    patch is copied into one reused float64 array, and its pooled block
     sums (0/1 span-matrix products) and capture sum are taken there, so only
     one patch is ever held in float64. Takes one depth per patch, and raises
     ValueError naming both counts otherwise."""
@@ -389,11 +389,7 @@ def _unit_features(patches, depths, config: ModelConfig, in_mm=False) -> np.ndar
         if np.shape(patch) != shape:
             raise ValueError(f"patches must be square and of one side: patch {i} has "
                              f"shape {np.shape(patch)}, patch 0 {shape}")
-        if in_mm:
-            np.multiply(patch, UNITS_PER_MM, out=units, dtype=float)
-            np.rint(units, out=units)
-        else:
-            units[...] = patch
+        units[...] = patch
         block_sums[i] = (pool @ units @ pool.T).ravel()
         capture_sums[i] = np.maximum(units[r0:r1, c0:c1] + depths[i] * DEPTH_UNITS_PER_CM,
                                      0.0).sum()

@@ -66,11 +66,15 @@ class EpisodeResult:
     retries: int
     postgrasp_trace: list         # (t_s, v, dropped_g)
     final_mass: float
-    placed_g: float               # equals final_mass
     discarded_g: float
     status: str                   # placed | infeasible | failed_to_grasp
-    success_band_2g: bool
+    success_band_2g: bool         # |final_mass - target| <= 2 g
     events: list = field(default_factory=list)
+
+    @property
+    def placed_g(self) -> float:
+        """The mass placed, which is the final mass."""
+        return self.final_mass
 
 
 def controller_speed(current: float, target: float, start: float,
@@ -136,8 +140,10 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
             sel, lattice = pick_grasp(lattice, sel_cfg), None
         events.append({"event": "observe"})
         if sel is None:
-            return _finish(events, None, None, 0.0, retries, [], 0.0, 0.0,
-                           "infeasible", target, cfg)
+            return EpisodeResult(
+                chosen=None, predicted=None, grasped_initial=0.0, retries=retries,
+                postgrasp_trace=[], final_mass=0.0, discarded_g=0.0, status="infeasible",
+                success_band_2g=target <= 2.0, events=events if cfg.trace else [])
         chosen = (sel.x, sel.y, sel.z_cm)
         predicted = (sel.mu_g, sel.sigma_g)
         events.append({"event": "select", "x": sel.x, "y": sel.y, "z_cm": sel.z_cm,
@@ -156,8 +162,11 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
             events.append({"event": "release", "released_g": grasped})
             retries += 1
             if retries > RETRY_CAP:
-                return _finish(events, chosen, predicted, grasped, retries, [],
-                               0.0, 0.0, "failed_to_grasp", target, cfg)
+                return EpisodeResult(
+                    chosen=chosen, predicted=predicted, grasped_initial=grasped,
+                    retries=retries, postgrasp_trace=[], final_mass=0.0, discarded_g=0.0,
+                    status="failed_to_grasp", success_band_2g=target <= 2.0,
+                    events=events if cfg.trace else [])
             continue
         break
 
@@ -180,19 +189,10 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
                                    "dropped_g": dropped})
 
     events.append({"event": "place", "placed_g": final})
-    return _finish(events, chosen, predicted, grasped, retries, trace,
-                   final, discarded, "placed", target, cfg)
-
-
-def _finish(events, chosen, predicted, grasped, retries, trace, final,
-            discarded, status, target, cfg):
-    err = abs(final - target)
     return EpisodeResult(
-        chosen=chosen, predicted=predicted, grasped_initial=grasped,
-        retries=retries, postgrasp_trace=trace, final_mass=final,
-        placed_g=final, discarded_g=discarded, status=status,
-        success_band_2g=err <= 2.0,
-        events=events if cfg.trace else [])
+        chosen=chosen, predicted=predicted, grasped_initial=grasped, retries=retries,
+        postgrasp_trace=trace, final_mass=final, discarded_g=discarded, status="placed",
+        success_band_2g=abs(final - target) <= 2.0, events=events if cfg.trace else [])
 
 
 # ---------------------------------------------------------------------------

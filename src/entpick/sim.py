@@ -48,6 +48,9 @@ HEIGHT_QUANTUM_MM = 0.1
 # a dataset patch holds heights less their median as int16 units of 0.05 mm
 # (mdn.patch_units), and such a height lies within the tray depth of zero
 MAX_TRAY_DEPTH_MM = 32767 // 20
+# a grasp draws Poisson(kappa * lambda) entangled clumps, lambda <= 1, and
+# removes them one at a time, so kappa caps the expected clumps per grasp
+MAX_KAPPA = 1000
 CELL_MASS_PER_MM = 1e-3    # grams per mm of height in one 1 mm^2 column, per unit rho
 
 # insertion depths (cm) for cabbage-like material: the pool random grasps
@@ -56,9 +59,11 @@ Z_POOL_DEEP = (2.0, 3.0, 4.0)
 Z_INFER_DEEP = (2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0)
 
 
-def quantize_height(h):
-    """Snap heights (mm) to the 0.1 mm grid."""
-    return np.round(np.asarray(h, dtype=float) * 10.0) / 10.0
+def quantize_height(h, out=None):
+    """Snap heights (mm) to the 0.1 mm grid: rint(10 h) / 10, into the
+    float64 array ``out`` when given (``h`` itself for in place)."""
+    tenths = np.multiply(h, 10.0, out=out, dtype=float)
+    return np.divide(np.round(tenths, out=out), 10.0, out=out)
 
 
 def quantize_mass(m: float, resolution_g: float = 0.1) -> float:
@@ -251,7 +256,7 @@ class SimConfig:
                 raise ValueError(f"SimConfig.footprint_mm[{i}] = {foot!r} leaves no room for "
                                  f"a crater across a tray side of {side!r} mm")
         check_number("SimConfig.eta_fill", self.eta_fill, 0, 1, lo_open=True)
-        check_number("SimConfig.kappa", self.kappa, 0)
+        check_number("SimConfig.kappa", self.kappa, 0, MAX_KAPPA)
         check_number("SimConfig.clearance_mm", self.clearance_mm, 0)
         check_number("SimConfig.slip_g", self.slip_g, 0)
         check_number("SimConfig.slump_strength", self.slump_strength, 0, 1)
@@ -527,11 +532,8 @@ def init_heap(config: SimConfig, seed: int) -> HeapState:
             dent = float(rng.uniform(d_lo, d_hi))
             win = hfield[cx - hw:cx + hw, cy - hl:cy + hl]
             np.minimum(win, win.mean() - dent, out=win)
-    # quantize_height, in place
     np.clip(hfield, 0.0, depth, out=hfield)
-    hfield *= 10.0
-    np.round(hfield, out=hfield)
-    hfield /= 10.0
+    quantize_height(hfield, out=hfield)
 
     lo, hi = config.lambda_range
     lam = _pixel_double(lo + (hi - lo) * ndtr(f_lam), shape)
@@ -803,7 +805,7 @@ def _set_heights(heap, sl_x, sl_y, height, mass, where=True) -> None:
     the whole box and every column holds mass, the quotient goes straight
     into the density and the heights are assigned, with no mask."""
     held = np.greater(mass, 0.0, out=_kept("set_heights.held", mass.shape, bool))
-    np.round(height, 1, out=height)   # the bits of quantize_height
+    quantize_height(height, out=height)
     np.clip(height, HEIGHT_QUANTUM_MM, heap.tray_mm[2], out=height)
     if where is True and held.all():
         np.divide(mass, height, out=heap.bulk_density[sl_x, sl_y])

@@ -151,7 +151,8 @@ bad_scale = st.builds(lambda field, v: {"scale": {field: v}},
 BAD_SIM_FIELDS = {
     "postgrasp.p_clump": st.floats(max_value=-1e-9) | st.floats(min_value=1 + 1e-9),
     "postgrasp.p_tangle": st.floats(max_value=-1e-9) | st.floats(min_value=1 + 1e-9),
-    "kappa": st.floats(max_value=-1e-9) | st.sampled_from([math.nan, math.inf, "1.7", True]),
+    "kappa": st.floats(max_value=-1e-9) | st.floats(min_value=sim.MAX_KAPPA + 1e-9)
+             | st.sampled_from([math.nan, math.inf, "1.7", True]),
     "eta_fill": st.floats(max_value=0.0) | st.floats(min_value=1 + 1e-9),
     "slump_strength": st.floats(max_value=-1e-9) | st.floats(min_value=1 + 1e-9),
     "tray_mm": st.lists(st.integers(1, 500), max_size=5).filter(lambda t: len(t) != 3),
@@ -205,7 +206,7 @@ def test_sim_config_rejects_bad_fields(path, data):
     ("clearance_mm", -1e-12), ("scale.lag", 2.0), ("pregrasp.r_mm", 0.0),
     ("clump_lognormal.r_mm", 0), ("postgrasp.piece_g", 0.0), ("postgrasp.gamma_scale", 0),
     ("noise.amp_mm", -1e-12), ("noise.corr_mm", 0.0), ("clump_lognormal.sigma", -1e-12),
-    ("scale.transient_gain", -1e-12),
+    ("scale.transient_gain", -1e-12), ("kappa", 1000.0000001),
 ])
 def test_sim_config_rejects_boundary_values(path, value):
     with pytest.raises(ValueError, match=f"SimConfig.{path}"):
@@ -219,6 +220,7 @@ def test_sim_config_rejects_boundary_values(path, value):
     ("noise.craters", [5, 5]), ("clump_lognormal.r_mm", 0.5), ("pregrasp.r_mm", 1e-3),
     ("noise.amp_mm", 0.0), ("noise.corr_mm", 1e-3), ("noise.wear_mm", 0),
     ("clump_lognormal.mu", -3.0), ("clump_lognormal.sigma", 0.0), ("scale.transient_gain", 0),
+    ("kappa", 1000),
 ])
 def test_sim_config_accepts_boundary_values(path, value):
     cfg = sim.SimConfig.from_dict(sim_doc(path, value))
@@ -267,6 +269,15 @@ def test_cli_bad_sim_field_exit_2_before_running(workdir, argv, doc):
     assert code == 2 and len(err) == 1
     assert f"SimConfig.{section}.{next(iter(doc[section]))}" in err[0]
     assert not out.exists()
+
+
+def test_cli_collect_kappa_too_large_exit_2(workdir):
+    """kappa 1e20 once ran into numpy's Poisson error, exit 1 and no field
+    named; kappa 1e6 ran one clump at a time, 20 times slower."""
+    config = write_json(workdir / "kappa.json", {"kappa": 1e20})
+    code, err = run_cli("collect", "--n", 4, "--config", config,
+                        "--out", workdir / "never_kappa.jsonl")
+    assert code == 2 and len(err) == 1 and "SimConfig.kappa" in err[0]
 
 
 SMALL_TRAY = {"tray_mm": [160, 160, 160]}

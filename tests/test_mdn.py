@@ -188,6 +188,14 @@ def test_features_of_mixed_sides_name_the_bad_shape():
         mdn.features_from_rows(patches, [2.0, 3.0], tiny_config())
 
 
+@pytest.mark.parametrize("height", [math.nan, math.inf, 1638.4, -1640.0])
+def test_features_reject_heights_int16_units_cannot_hold(height):
+    patches = np.zeros((2, 160, 160))
+    patches[1, 80, 80] = height
+    with pytest.raises(ValueError, match="int16 units"):
+        mdn.features_from_rows(patches, [2.0, 3.0], tiny_config())
+
+
 def test_features_of_no_patches_are_an_empty_table():
     cfg = tiny_config()
     for build in (mdn.features_from_rows, mdn._unit_features):
