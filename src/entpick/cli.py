@@ -29,6 +29,15 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejections raise ``UsageError`` instead of printing
+    the usage block, so ``main`` ends them as one line with exit 2. Its
+    sub-parsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _dump_json(doc, path):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, separators=(",", ":"))
@@ -291,8 +300,7 @@ def print_counts(report) -> None:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="entpick",
-                                description="simulated target-mass picking toolkit")
+    p = _Parser(prog="entpick", description="simulated target-mass picking toolkit")
     p.add_argument("--version", action="version", version=f"entpick {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -352,9 +360,11 @@ def main(argv=None) -> int:
                      f"got {level!r}")
         return 2
     logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise UsageError(f"entpick {args.command}: unrecognized arguments: "
+                             + " ".join(extra))
         _check_flags(args)
         return args.func(args)
     except UsageError as exc:

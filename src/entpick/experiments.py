@@ -51,11 +51,6 @@ from .sim import (ScaleState, SimConfig, Z_POOL_DEEP, apply_pregrasp,
                   execute_grasp, init_heap, make_gripper_load, release_mass,
                   total_mass)
 
-# Reference targets reported for the imitation-cabbage class at the
-# 10th/50th/70th percentiles on the original hardware; annotation only,
-# never an assertion target.
-REFERENCE_TARGETS_G = {"imitation_cabbage": (22.0, 46.0, 56.0)}
-
 STATUSES = ("placed", "infeasible", "failed_to_grasp")   # of every episode record
 REGRASP_MARGIN_G = 5.0     # random grasps under drop + margin are re-grasped
 BOOTSTRAP_B = 2000

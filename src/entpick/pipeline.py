@@ -143,7 +143,7 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
             return EpisodeResult(
                 chosen=None, predicted=None, grasped_initial=0.0, retries=retries,
                 postgrasp_trace=[], final_mass=0.0, discarded_g=0.0, status="infeasible",
-                success_band_2g=target <= 2.0, events=events if cfg.trace else [])
+                success_band_2g=False, events=events if cfg.trace else [])
         chosen = (sel.x, sel.y, sel.z_cm)
         predicted = (sel.mu_g, sel.sigma_g)
         events.append({"event": "select", "x": sel.x, "y": sel.y, "z_cm": sel.z_cm,
@@ -165,7 +165,7 @@ def run_inference_episode(model: mdn.ModelParams, heap: HeapState, target: float
                 return EpisodeResult(
                     chosen=chosen, predicted=predicted, grasped_initial=grasped,
                     retries=retries, postgrasp_trace=[], final_mass=0.0, discarded_g=0.0,
-                    status="failed_to_grasp", success_band_2g=target <= 2.0,
+                    status="failed_to_grasp", success_band_2g=False,
                     events=events if cfg.trace else [])
             continue
         break

@@ -621,6 +621,32 @@ def test_cli_numeric_flag_out_of_range_exit_2(workdir, checkpoint_doc, argv, nee
     assert not list(workdir.glob("never_flags*"))
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("collect", "--n", 5, "--bogus", 1, "--out", "{out}"),
+     "entpick collect: unrecognized arguments: --bogus 1"),
+    (("collect",), "entpick collect: the following arguments are required: --out"),
+    (("run", "m.json", "--target", "abc", "--out", "{out}"),
+     "entpick run: argument --target: invalid float value: 'abc'"),
+    (("bogus", "--out", "{out}"), "entpick: argument command: invalid choice: 'bogus'"),
+])
+def test_cli_parser_rejection_one_line_exit_2(workdir, argv, needle):
+    """What the parser rejects ends as one line, without the usage block."""
+    out = workdir / "never_parsed.json"
+    code, err = run_cli(*(str(a).format(out=out) for a in argv))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+    assert not list(workdir.glob("never_parsed*"))
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("collect", "--help")])
+def test_cli_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 0
+    printed = capsys.readouterr()
+    assert printed.out and printed.err == ""
+
+
 @pytest.mark.parametrize("level", ["bogus", "10", ""])
 def test_cli_bad_log_level_exit_2(level):
     """ENTPICK_LOG is read before the command line is parsed, so even

@@ -35,10 +35,6 @@ def test_percentile_empty_errors():
         ex.nearest_rank_percentile([], 50)
 
 
-def test_reference_targets_documented():
-    assert ex.REFERENCE_TARGETS_G["imitation_cabbage"] == (22.0, 46.0, 56.0)
-
-
 # ---------------------------------------------------------------- success rate
 
 def test_success_rate_hand_count():

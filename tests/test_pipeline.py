@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import gamma
 
 from entpick import mdn, pipeline, sim
 from entpick.pipeline import EpisodeConfig
@@ -55,7 +56,8 @@ def test_postgrasp_skips_when_within_band():
 
 def test_postgrasp_reaches_band_with_bounded_overshoot():
     params = sim.PostgraspParams()
-    q_max = sim.spines_drop_q99(params)
+    # the 99th percentile of a spines-mode drop at v_max
+    q_max = gamma.ppf(0.99, params.gamma_shape, scale=params.gamma_scale * params.v_max)
     rng = np.random.default_rng(101)
     load = GripperLoad([2.5] * 12)  # 30 g
     scale = ScaleState()
@@ -188,6 +190,19 @@ def test_infeasible_marked_distinctly(monkeypatch):
                                             np.random.default_rng(0))
     assert result.status == "infeasible"
     assert result.status != "failed_to_grasp"
+
+
+def test_an_infeasible_small_target_is_no_success():
+    """An episode that places nothing is outside the 2 g band, even when
+    the target itself is at most 2 g."""
+    sim_cfg = sim.SimConfig(fill_mm=12.0)   # no lattice depth clears this floor
+    heap = sim.init_heap(sim_cfg, seed=1)
+    model = mdn.init_params(mdn.ModelConfig(K=1, feature_downsample=40, hidden_sizes=(8,)))
+    result = pipeline.run_inference_episode(model, heap, 1.5, 1.0,
+                                            EpisodeConfig.default(sim_cfg),
+                                            np.random.default_rng(0))
+    assert result.status == "infeasible" and result.placed_g == 0.0
+    assert not result.success_band_2g
 
 
 # ---------------------------------------------------------------- episode ledger

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import gamma
 
 from entpick import sim
 from entpick.sim import GraspOutcome, GripperLoad, PostgraspParams, ScaleParams, ScaleState
@@ -84,7 +85,7 @@ def test_no_spines_clump_branch_drops_whole_chunks():
 def test_spines_bound_q99():
     # with spines, P(drop > q_max) at v_max stays below 1% (q_max = gamma 99th pct)
     params = PostgraspParams()
-    q_max = sim.spines_drop_q99(params)
+    q_max = gamma.ppf(0.99, params.gamma_shape, scale=params.gamma_scale * params.v_max)
     rng = np.random.default_rng(7)
     n = 10_000
     exceed = 0
